@@ -11,7 +11,7 @@
   portfolio won or tied).
 * MICRO-PORTFOLIO — the exchange machinery must be ~free: a
   fixed-iteration tabu island with a live channel (publishing every
-  improvement, polling every ``DEFAULT_INTERVALS['tabu']``-th
+  improvement, polling every ``ENGINES['tabu'].interval``-th
   iteration) vs the identical run with no channel at all.  The
   measured overhead stays within ~5%; the committed baseline gates the
   ratio in CI.

@@ -31,6 +31,8 @@ setup(
             "pytest-benchmark>=4",
             "pytest-cov>=4",
             "hypothesis>=6",
+            # the TaskGraph interop tests; the library never imports it
+            "networkx>=2.6",
             "ruff>=0.4",
         ],
         # the compiled kernel tier (repro.schedule.jit) — optional:

@@ -10,16 +10,19 @@ any number of trace-producing runners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.trace import ConvergenceTrace
-from repro.baselines.ga import GAConfig, GeneticAlgorithm
-from repro.core.config import SEConfig
-from repro.core.engine import SimulatedEvolution
+from repro.engines import COMPARISON_SE_BIAS as COMPARISON_SE_BIAS
+from repro.engines import ENGINES, engine
 from repro.model.workload import Workload
 from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.utils.rng import RandomSource
+
+if TYPE_CHECKING:
+    from repro.baselines.ga import GAConfig
+    from repro.core.config import SEConfig
 
 #: A runner takes (workload, time_limit_seconds) and returns a trace.
 Runner = Callable[[Workload, float], ConvergenceTrace]
@@ -106,93 +109,27 @@ def make_time_grid(budget: float, points: int) -> tuple[float, ...]:
     return tuple(budget * (i + 1) / points for i in range(points))
 
 
-def se_runner(
-    base: Optional[SEConfig] = None, seed: RandomSource = None
+def engine_runner(
+    name: str, base=None, seed: RandomSource = None
 ) -> Runner:
-    """Build an SE runner for :func:`compare_algorithms`.
+    """A :func:`compare_algorithms` runner for catalog engine *name*.
 
-    The iteration cap is lifted so the wall clock is the binding limit.
+    *base* is the engine config to start from (default: the engine's
+    head-to-head defaults, e.g. SE's :data:`COMPARISON_SE_BIAS`).  The
+    iteration cap and any default stall rule are lifted so the wall
+    clock is the binding limit, and SA's trace is thinned to its budget
+    stride; an explicit *seed* overrides the base config's.
     """
+    entry = engine(name)
 
     def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        cfg_base = base or SEConfig()
-        from dataclasses import replace
-
+        cfg = base or entry.config(**entry.compare_defaults)
         cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            seed=seed if seed is not None else cfg_base.seed,
+            cfg,
+            **entry.limits(None, time_limit, stall=False, trace="budget"),
+            seed=seed if seed is not None else cfg.seed,
         )
-        return SimulatedEvolution(cfg).run(workload).trace
-
-    return run
-
-
-def ga_runner(
-    base: Optional[GAConfig] = None, seed: RandomSource = None
-) -> Runner:
-    """Build a GA runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        cfg_base = base or GAConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_generations=10**9,
-            stall_generations=None,
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return GeneticAlgorithm(cfg).run(workload).trace
-
-    return run
-
-
-def sa_runner(
-    base: Optional["SAConfig"] = None, seed: RandomSource = None
-) -> Runner:
-    """Build a simulated-annealing runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        from repro.optim import SAConfig, SimulatedAnnealing
-
-        cfg_base = base or SAConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            # a wall-clock budget can mean millions of ~25 µs proposals;
-            # record one per temperature level (plus every improvement)
-            record_every=max(cfg_base.record_every, cfg_base.steps_per_temp),
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return SimulatedAnnealing(cfg).run(workload).trace
-
-    return run
-
-
-def tabu_runner(
-    base: Optional["TabuConfig"] = None, seed: RandomSource = None
-) -> Runner:
-    """Build a tabu-search runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        from repro.optim import TabuConfig, TabuSearch
-
-        cfg_base = base or TabuConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return TabuSearch(cfg).run(workload).trace
+        return entry.run(workload, cfg).trace
 
     return run
 
@@ -211,38 +148,14 @@ def compare_algorithms(
     if not runners:
         raise ValueError("need at least one runner")
     grid = make_time_grid(time_budget, grid_points)
-    series = []
-    for name, runner in runners.items():
-        trace = runner(workload, time_budget)
-        best_at = tuple(trace.best_at_time(t) for t in grid)
-        series.append(
-            ComparisonSeries(
-                name=name,
-                time_grid=grid,
-                best_at=best_at,
-                final_best=(
-                    trace.final_best() if len(trace) else float("inf")
-                ),
-                iterations=len(trace),
-            )
-        )
     return ComparisonResult(
         workload_name=workload.name,
         time_budget=time_budget,
-        series=tuple(series),
+        series=tuple(
+            series_from_trace(name, runner(workload, time_budget), grid)
+            for name, runner in runners.items()
+        ),
     )
-
-
-#: SE selection bias used by default in head-to-head comparisons.
-#:
-#: Under a wall-clock budget, sustained selection pressure matters more
-#: than cheap iterations: on converged solutions the goodness vector
-#: saturates near 1, and with the paper's positive large-problem bias
-#: (§4.4) almost nothing gets selected — SE idles while the GA keeps
-#: improving.  A mildly negative bias keeps ~10% of subtasks churning and
-#: reproduces the paper's Figs. 5-6 outcome (SE ahead of GA); see
-#: EXPERIMENTS.md for the calibration data.
-COMPARISON_SE_BIAS = -0.1
 
 
 def se_vs_ga(
@@ -258,61 +171,14 @@ def se_vs_ga(
     Unless *se_config* overrides it, SE runs with
     ``selection_bias=COMPARISON_SE_BIAS`` (see that constant's docstring).
     """
-    from repro.utils.rng import spawn_rngs
-
-    if se_config is None:
-        se_config = SEConfig(selection_bias=COMPARISON_SE_BIAS)
-    rng_se, rng_ga = spawn_rngs(seed, 2)
-    return compare_algorithms(
+    return compare_named(
         workload,
-        {
-            "SE": se_runner(se_config, seed=rng_se),
-            "GA": ga_runner(ga_config, seed=rng_ga),
-        },
-        time_budget=time_budget,
+        ("se", "ga"),
+        time_budget,
         grid_points=grid_points,
-    )
-
-
-def _sa_base(network: str, platform: str):
-    from repro.optim import SAConfig  # deferred: repro.optim is a higher layer
-
-    return SAConfig(network=network, platform=platform)
-
-
-def _tabu_base(network: str, platform: str):
-    from repro.optim import TabuConfig  # deferred: see _sa_base
-
-    return TabuConfig(network=network, platform=platform)
-
-
-#: Runner factories for :func:`compare_named`, keyed by algorithm name.
-#: Each maps ``seed=`` to an independent RNG stream and ``network=`` to
-#: the simulator backend the engine optimises against; SE gets the
-#: calibrated :data:`COMPARISON_SE_BIAS` like :func:`se_vs_ga` does.
-#: The engines route batch scoring through their
-#: :class:`~repro.optim.evaluation.EvaluationService`, so every network
-#: with a registered batch kernel (both built-ins) accelerates here
-#: automatically — the runners never hard-code a scalar simulator.
-_NAMED_RUNNERS = {
-    "se": lambda seed, network, platform: se_runner(
-        SEConfig(
-            selection_bias=COMPARISON_SE_BIAS,
-            network=network,
-            platform=platform,
-        ),
         seed=seed,
-    ),
-    "ga": lambda seed, network, platform: ga_runner(
-        GAConfig(network=network, platform=platform), seed=seed
-    ),
-    "sa": lambda seed, network, platform: sa_runner(
-        _sa_base(network, platform), seed=seed
-    ),
-    "tabu": lambda seed, network, platform: tabu_runner(
-        _tabu_base(network, platform), seed=seed
-    ),
-}
+        configs={"se": se_config, "ga": ga_config},
+    )
 
 
 def compare_named(
@@ -323,6 +189,7 @@ def compare_named(
     seed: RandomSource = None,
     network: str = DEFAULT_NETWORK,
     platform: str = DEFAULT_PLATFORM,
+    configs: Optional[Mapping[str, object]] = None,
 ) -> ComparisonResult:
     """Head-to-head among any of the iterative engines by name.
 
@@ -337,26 +204,33 @@ def compare_named(
     NIC contention; batch-scoring engines pick up the network's
     vectorized kernel automatically).  *platform* races them on one
     machine catalog (speed-scaled matrix + boot state; the default
-    ``"uniform"`` changes nothing).
+    ``"uniform"`` changes nothing).  *configs* maps an engine name to
+    the config it starts from instead (network and platform included).
     """
     from repro.utils.rng import spawn_rngs
 
     names = [a.strip().lower() for a in algorithms if a.strip()]
     if not names:
         raise ValueError("need at least one algorithm name")
-    unknown = sorted(set(names) - set(_NAMED_RUNNERS))
+    unknown = sorted(set(names) - set(ENGINES))
     if unknown:
         raise ValueError(
             f"unknown comparison algorithms {unknown}; available: "
-            f"{', '.join(sorted(_NAMED_RUNNERS))}"
+            f"{', '.join(sorted(ENGINES))}"
         )
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names in {names}")
     rngs = spawn_rngs(seed, len(names))
-    runners = {
-        name.upper(): _NAMED_RUNNERS[name](rng, network, platform)
-        for name, rng in zip(names, rngs)
-    }
+    configs = configs or {}
+    # every engine routes batch scoring through its evaluation service,
+    # so a network with a registered batch kernel accelerates here too
+    runners = {}
+    for name, rng in zip(names, rngs):
+        entry = ENGINES[name]
+        base = configs.get(name) or entry.config(
+            network=network, platform=platform, **entry.compare_defaults
+        )
+        runners[name.upper()] = engine_runner(name, base, seed=rng)
     return compare_algorithms(
         workload, runners, time_budget=time_budget, grid_points=grid_points
     )
@@ -399,9 +273,9 @@ def head_to_head_experiment(
     algorithms:
         Display name → extra registry params; defaults to the paper's
         pairing ``{"SE": ..., "GA": ...}`` with the calibrated
-        ``COMPARISON_SE_BIAS``.  Every algorithm gets ``time_limit=
+        ``COMPARISON_SE_BIAS``.  Every catalog engine gets ``time_limit=
         time_budget`` with iteration caps lifted, exactly like
-        :func:`se_runner` / :func:`ga_runner`.
+        :func:`engine_runner`.
     workers:
         With ``workers > 1`` the contenders run concurrently in separate
         processes.  RNG streams stay deterministic; note that for
@@ -430,32 +304,13 @@ def head_to_head_experiment(
     for name, extra in algorithms.items():
         params = dict(extra)
         kind = params.pop("kind", name.lower())
-        if kind == "se":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-                "selection_bias": COMPARISON_SE_BIAS,
-            }
-        elif kind == "ga":
-            base = {
-                "time_limit": time_budget,
-                "max_generations": 10**9,
-                "stall_generations": None,
-            }
-        elif kind == "sa":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-                # bound the per-proposal trace under a wall-clock budget
-                "record_every": 50,
-            }
-        elif kind == "tabu":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-            }
-        else:
-            base = {}
+        entry = ENGINES.get(kind)
+        base = {}
+        if entry is not None:
+            base.update(
+                entry.limits(None, time_budget, stall=False, trace="budget"),
+                **entry.compare_defaults,
+            )
         # only algorithms that declare the parameter get the selector —
         # custom-registered entries without one must keep working
         if "network" in algorithm_parameters(kind):

@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optim.objective import resolve_objective
+from repro.optim.objective import validate_run_target
 from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
-from repro.stochastic.distributions import validate_scenario_settings
+from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.utils.rng import RandomSource
 
 
@@ -137,15 +132,7 @@ class GAConfig:
             raise ValueError(
                 f"stall_generations must be >= 1, got {self.stall_generations}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        validate_run_target(self)
 
     def stop_policy(self) -> StopPolicy:
         """The run's stopping rules as a shared :class:`StopPolicy`.

@@ -48,19 +48,12 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.ascii_plot import Series, line_plot
 from repro.analysis.compare import compare_named, se_vs_ga
-from repro.baselines import (
-    GAConfig,
-    heft,
-    max_min,
-    min_min,
-    olb,
-    random_search,
-    run_ga,
-)
+from repro.baselines import heft, max_min, min_min, olb, random_search
 from repro.core import SEConfig, run_se
-from repro.optim import SAConfig, TabuConfig, run_sa, run_tabu
+from repro.engines import ENGINES, UNBOUNDED, engine_for, warm_start_engines
 from repro.model import Workload, paper_sample_workload
 from repro.schedule import Timeline, compute_metrics
+from repro.schedule.backend import resolve_platform
 from repro.workloads import (
     figure3_workload,
     figure4a_workload,
@@ -83,52 +76,46 @@ PRESETS: dict[str, Callable[[Optional[int]], Workload]] = {
 }
 
 
-def _load_workload(preset: str, seed: Optional[int]) -> Workload:
+class UsageError(SystemExit):
+    """Bad command-line input: one line on stderr and exit status 2.
+
+    Still a :class:`SystemExit`, so callers of :func:`main` see the
+    message as ``str(exc)``; :func:`main` prints it.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
+def _config(command: str, build: Callable, **params):
+    """``build(**params)``, a config's ValueError becoming a UsageError."""
     try:
-        factory = PRESETS[preset]
-    except KeyError:
-        raise SystemExit(
-            f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}"
-        )
-    return factory(seed)
+        return build(**params)
+    except ValueError as exc:
+        raise UsageError(f"{command}: {exc}") from None
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    w = _load_workload(args.preset, args.seed)
+    w = PRESETS[args.preset](args.seed)
     print(w.describe())
     return 0
 
 
-def _platform_cost_model(w: Workload, platform: str):
-    """``(effective workload, CostModel | None)`` of *w* on *platform*.
+def _risk_algos() -> list:
+    """Registry algorithms that optimise a configurable objective — the
+    only ones the risk flags (--objective/--scenarios/--distribution)
+    apply to."""
+    from repro.runner import algorithm_parameters, available_algorithms
 
-    ``None`` on the free uniform platform, where cost is identically 0
-    and the effective workload is *w* itself.
-    """
-    from repro.schedule.backend import resolve_platform
-    from repro.schedule.scoring import CostModel
-
-    spec = resolve_platform(platform)
-    if spec.is_uniform:
-        return w, None
-    bound = spec.bind(w.num_machines)
-    scaled = bound.apply(w)
-    return scaled, CostModel(scaled.exec_times.values, bound.prices)
-
-
-def _check_platform(command: str, platform: str) -> None:
-    """Turn an unknown ``--platform`` into a clean CLI error."""
-    from repro.schedule.backend import resolve_platform
-
-    try:
-        resolve_platform(platform)
-    except ValueError as exc:
-        raise SystemExit(f"{command}: {exc}")
-
-
-#: Registry algorithms that optimise a configurable objective — the only
-#: ones the risk flags (--objective/--scenarios/--distribution) apply to.
-_RISK_ALGOS = ("se", "hybrid", "ga", "sa", "tabu", "random")
+    return [
+        name
+        for name in available_algorithms()
+        if "objective" in algorithm_parameters(name)
+    ]
 
 
 def _risk_requested(args: argparse.Namespace) -> bool:
@@ -160,12 +147,13 @@ def _check_risk_flags(command: str, args: argparse.Namespace) -> bool:
     """
     from repro.stochastic.distributions import validate_scenario_settings
 
-    try:
-        obj, _ = validate_scenario_settings(
-            args.objective, args.scenarios, args.distribution
-        )
-    except ValueError as exc:
-        raise SystemExit(f"{command}: {exc}")
+    obj, _ = _config(
+        command,
+        validate_scenario_settings,
+        objective=args.objective,
+        scenarios=args.scenarios,
+        distribution=args.distribution,
+    )
     return bool(getattr(obj, "is_scenario", False))
 
 
@@ -195,17 +183,33 @@ def _print_risk_profile(args: argparse.Namespace, w: Workload, best) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_platform("run", args.platform)
+    from repro.runner.pool import platform_view
+
+    _config("run", resolve_platform, platform=args.platform)
     is_scenario = _check_risk_flags("run", args)
-    if _risk_requested(args) and args.algo not in _RISK_ALGOS:
-        raise SystemExit(
+    risk_algos = _risk_algos()
+    if _risk_requested(args) and args.algo not in risk_algos:
+        raise UsageError(
             f"run: --objective/--scenarios/--distribution apply to "
-            f"{', '.join(_RISK_ALGOS)} only, not {args.algo!r} "
+            f"{', '.join(risk_algos)} only, not {args.algo!r} "
             "(deterministic heuristics have no objective to swap)"
         )
-    w = _load_workload(args.preset, args.seed)
-    algo = args.algo
     risk = _risk_params(args)
+    entry = ENGINES.get(args.algo)
+    if entry is not None:
+        # --y / --bias tune SE; engines without those fields ignore them
+        se_flags = {"y_candidates": args.y, "selection_bias": args.bias}
+        cfg = _config(
+            "run",
+            entry.config,
+            seed=args.seed,
+            **entry.limits(args.iterations * entry.scale, args.budget),
+            network=args.network,
+            platform=args.platform,
+            **risk,
+            **{k: v for k, v in se_flags.items() if k in entry.field_names()},
+        )
+    w = PRESETS[args.preset](args.seed)
     if args.verbose:
         # capability of the selected backend, not a per-run trace: only
         # algorithms that batch-score (ga, tabu, random, se with
@@ -217,77 +221,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         print("platform catalogs (--platform) and their cost paths:")
         print(_platforms_listing())
-    if algo == "se":
-        res = run_se(
-            w,
-            SEConfig(
-                seed=args.seed,
-                max_iterations=args.iterations,
-                time_limit=args.budget,
-                y_candidates=args.y,
-                selection_bias=args.bias,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
+    if entry is not None:
+        res = entry.run(w, cfg)
         schedule, makespan = res.best_schedule, res.best_makespan
         print(
-            f"SE finished: {res.iterations} iterations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "ga":
-        res = run_ga(
-            w,
-            GAConfig(
-                seed=args.seed,
-                max_generations=args.iterations,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"GA finished: {res.generations} generations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "sa":
-        # one SA iteration = one move proposal, far cheaper than one
-        # SE/GA iteration — grant 50 proposals per requested iteration
-        res = run_sa(
-            w,
-            SAConfig(
-                seed=args.seed,
-                max_iterations=args.iterations * 50,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"SA finished: {res.iterations} proposals, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "tabu":
-        res = run_tabu(
-            w,
-            TabuConfig(
-                seed=args.seed,
-                max_iterations=args.iterations,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"tabu finished: {res.iterations} iterations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
+            f"{entry.label} finished: {entry.iterations_of(res)} "
+            f"{entry.unit}, {res.evaluations} evaluations, "
+            f"stopped by {res.stopped_by}"
         )
     else:
         fns = {
@@ -304,7 +244,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 **risk,
             ),
         }
-        res = fns[algo](w, network=args.network, platform=args.platform)
+        res = fns[args.algo](w, network=args.network, platform=args.platform)
         schedule, makespan = res.schedule, res.makespan
         print(f"{res.name} finished ({res.evaluations} evaluations)")
 
@@ -318,7 +258,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nmakespan ({args.network}): {makespan:.2f}")
     # metrics (and billing) against the workload the run actually
     # scored: the platform's speed-scaled matrix, or w itself on uniform
-    eff, cost_model = _platform_cost_model(w, args.platform)
+    eff, cost_model = platform_view(w, args.platform)
     if cost_model is not None:
         machines = best.machines
         print(
@@ -333,7 +273,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    w = _load_workload(args.preset, args.seed)
+    w = PRESETS[args.preset](args.seed)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     print(w.describe())
     names = " and ".join(a.upper() for a in algos)
@@ -341,18 +281,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"\nrunning {names} for {args.budget:.1f}s each "
         f"on {args.network!r} ..."
     )
-    try:
-        cmp = compare_named(
-            w,
-            algos,
-            time_budget=args.budget,
-            grid_points=args.points,
-            seed=args.seed,
-            network=args.network,
-            platform=args.platform,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"compare: {exc}")
+    cmp = _config(
+        "compare",
+        compare_named,
+        workload=w,
+        algorithms=algos,
+        time_budget=args.budget,
+        grid_points=args.points,
+        seed=args.seed,
+        network=args.network,
+        platform=args.platform,
+    )
     series = [
         Series(s.name, s.time_grid, s.best_at) for s in cmp.series
     ]
@@ -371,30 +310,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_race(args: argparse.Namespace) -> int:
-    _check_platform("race", args.platform)
     from repro.analysis import anytime_table
     from repro.portfolio import RaceConfig, run_race
 
-    w = _load_workload(args.preset, args.seed)
+    w = PRESETS[args.preset](args.seed)
     # --deadline 0 disables the wall clock (pure iteration-capped race)
     deadline = args.deadline if args.deadline and args.deadline > 0 else None
     if args.sync_every is not None:
         deadline = None  # lockstep races are iteration-capped only
-    try:
-        cfg = RaceConfig(
-            engines=args.engines,
-            islands=args.islands,
-            deadline=deadline,
-            max_iterations=args.iterations,
-            sync_every=args.sync_every,
-            exchange_interval=args.exchange_interval,
-            mode=args.mode,
-            network=args.network,
-            platform=args.platform,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"race: {exc}")
+    cfg = _config(
+        "race",
+        RaceConfig,
+        engines=args.engines,
+        islands=args.islands,
+        deadline=deadline,
+        max_iterations=args.iterations,
+        sync_every=args.sync_every,
+        exchange_interval=args.exchange_interval,
+        mode=args.mode,
+        network=args.network,
+        platform=args.platform,
+        seed=args.seed,
+    )
     budget = (
         f"{cfg.deadline:.1f}s deadline"
         if cfg.deadline is not None
@@ -458,11 +395,7 @@ def _platforms_listing() -> str:
     zero-boot catalogs keep the vectorized kernel (and its vectorized
     cost gather).  Listing the mode keeps that routing visible.
     """
-    from repro.schedule.backend import (
-        available_platforms,
-        platform_cost_vectorized,
-        resolve_platform,
-    )
+    from repro.schedule.backend import available_platforms, platform_cost_vectorized
 
     lines = []
     for name in available_platforms():
@@ -570,13 +503,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 y_label="best schedule length",
             )
         )
-    else:
-        raise SystemExit(f"unknown figure {fig!r}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.grid import grid_from_experiment
+    from repro.portfolio import RaceConfig
     from repro.runner import (
         AlgorithmSpec,
         ExperimentSpec,
@@ -586,86 +518,69 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.workloads import WorkloadSuite
 
-    _check_platform("sweep", args.platform)
+    _config("sweep", resolve_platform, platform=args.platform)
     _check_risk_flags("sweep", args)
     algos = [a.strip().lower() for a in args.algos.split(",") if a.strip()]
     unknown = sorted(set(algos) - set(available_algorithms()))
     if unknown:
-        raise SystemExit(
+        raise UsageError(
             f"unknown algorithms {unknown}; available (with their "
             f"AlgorithmSpec parameters):\n{_algorithms_listing()}"
         )
+    risk_algos = _risk_algos()
     if _risk_requested(args):
-        bad = sorted(set(algos) - set(_RISK_ALGOS))
+        bad = sorted(set(algos) - set(risk_algos))
         if bad:
-            raise SystemExit(
+            raise UsageError(
                 f"sweep: --objective/--scenarios/--distribution apply to "
-                f"{', '.join(_RISK_ALGOS)} only; drop {bad} from "
+                f"{', '.join(risk_algos)} only; drop {bad} from "
                 "--algorithms"
             )
 
     def algo_spec(kind: str) -> AlgorithmSpec:
-        network = {"network": args.network, "platform": args.platform}
+        params = {"network": args.network, "platform": args.platform}
         # only annotate specs when risk flags were set: default params
         # keep historical cell fingerprints, so existing caches resume
-        if _risk_requested(args) and kind in _RISK_ALGOS:
-            network.update(_risk_params(args))
-        if kind in ("se", "hybrid", "tabu"):
-            params = {"max_iterations": args.iterations}
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_iterations": 10**9,
-                }
-            return AlgorithmSpec.make(kind, **params, **network)
-        if kind == "sa":
-            # one SA iteration = one move proposal: grant 50 per
-            # requested iteration so budgets stay comparable
-            params = {"max_iterations": args.iterations * 50}
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_iterations": 10**9,
-                    # bound the per-proposal trace under a time budget
-                    "record_every": 50,
-                }
-            return AlgorithmSpec.make("sa", **params, **network)
-        if kind == "ga":
-            params = {
-                "max_generations": args.iterations,
-                "stall_generations": None,
-            }
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_generations": 10**9,
-                    "stall_generations": None,
-                }
-            return AlgorithmSpec.make("ga", **params, **network)
-        if kind == "random":
-            if args.budget is not None:
-                return AlgorithmSpec.make(
-                    "random",
-                    samples=10**9,
-                    time_limit=args.budget,
-                    **network,
+        if _risk_requested(args) and kind in risk_algos:
+            params.update(_risk_params(args))
+        entry = engine_for(kind)
+        if entry is not None:
+            # a sweep engine runs to its cap or budget: no stall stop
+            if args.budget is None:
+                iterations = args.iterations * entry.scale
+                params.update(entry.limits(iterations, stall=False))
+            else:
+                params.update(
+                    entry.limits(
+                        None, args.budget, stall=False, trace="budget"
+                    )
                 )
-            return AlgorithmSpec.make(
-                "random", samples=args.iterations * 10, **network
-            )
-        if kind == "portfolio":
+        elif kind == "random":
+            if args.budget is None:
+                params["samples"] = args.iterations * 10
+            else:
+                params.update(samples=UNBOUNDED, time_limit=args.budget)
+        elif kind == "portfolio":
             # iteration-capped sweeps stay worker-count invariant, so
             # the race runs in deterministic lockstep; only an explicit
             # --budget opts into the wall-clock deadline race
-            params = {
-                "deadline": None,
-                "max_iterations": args.iterations,
-                "sync_every": 5,
-            }
-            if args.budget is not None:
-                params = {"deadline": args.budget}
-            return AlgorithmSpec.make("portfolio", **params, **network)
-        return AlgorithmSpec.make(kind, **network)
+            if args.budget is None:
+                params.update(
+                    deadline=None,
+                    max_iterations=args.iterations,
+                    sync_every=5,
+                )
+            else:
+                params["deadline"] = args.budget
+        return AlgorithmSpec.make(kind, **params)
+
+    algorithms = {a: algo_spec(a) for a in algos}
+    # build every config up front: a bad one fails before any cell runs
+    for kind, algo in algorithms.items():
+        entry = engine_for(kind)
+        build = entry.config if entry else {"portfolio": RaceConfig}.get(kind)
+        if build is not None:
+            _config("sweep", build, **algo.params_dict())
 
     suite = WorkloadSuite(
         num_tasks=args.tasks,
@@ -679,7 +594,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = tuple(int(s) for s in args.seeds.split(","))
     spec = ExperimentSpec(
         name=args.name,
-        algorithms={a: algo_spec(a) for a in algos},
+        algorithms=algorithms,
         workloads=[cell.spec for cell in suite],
         seeds=seeds,
         base_seed=args.base_seed,
@@ -712,8 +627,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"  {a} vs {b}: {rec.describe()} (win rate {rec.win_rate():.2f})")
 
     if args.out:
-        from pathlib import Path
-
         out = Path(args.out)
         print()
         print(f"wrote {result.save_json(out / f'{args.name}.json')}")
@@ -736,10 +649,10 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.optim import ParetoTracker
     from repro.optim.evaluation import EvaluationService
 
-    _check_platform("pareto", args.platform)
-    w = _load_workload(args.preset, args.seed)
+    _config("pareto", resolve_platform, platform=args.platform)
+    w = PRESETS[args.preset](args.seed)
     if args.platform == "uniform":
-        raise SystemExit(
+        raise UsageError(
             "pareto: the uniform platform has no billing table (cost is "
             "identically 0) — pick a priced catalog, e.g. --platform spot"
         )
@@ -748,9 +661,16 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             float(x) for x in args.weights.split(",") if x.strip()
         )
     except ValueError:
-        raise SystemExit(f"pareto: bad --weights {args.weights!r}")
+        raise UsageError(f"pareto: bad --weights {args.weights!r}")
     if not weights or not all(0.0 <= wc <= 1.0 for wc in weights):
-        raise SystemExit("pareto: --weights must be numbers in [0, 1]")
+        raise UsageError("pareto: --weights must be numbers in [0, 1]")
+    entry = ENGINES[args.algo]
+    shared = dict(
+        entry.limits(args.iterations * entry.scale, args.budget, trace="budget"),
+        network=args.network,
+        platform=args.platform,
+    )
+    _config("pareto", entry.config, **shared)
 
     ref = heft(w, network=args.network, platform=args.platform)
     print(
@@ -777,33 +697,11 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             objective=objective,
             pareto=tracker,
         )
-        if args.algo == "sa":
-            res = run_sa(
-                w,
-                SAConfig(
-                    seed=args.seed + i,
-                    max_iterations=args.iterations * 50,
-                    time_limit=args.budget,
-                    record_every=50,
-                    network=args.network,
-                    platform=args.platform,
-                    objective=objective,
-                ),
-                service=service,
-            )
-        else:
-            res = run_tabu(
-                w,
-                TabuConfig(
-                    seed=args.seed + i,
-                    max_iterations=args.iterations,
-                    time_limit=args.budget,
-                    network=args.network,
-                    platform=args.platform,
-                    objective=objective,
-                ),
-                service=service,
-            )
+        res = entry.run(
+            w,
+            entry.config(seed=args.seed + i, objective=objective, **shared),
+            service=service,
+        )
         score = service.score_of(res.best_string)
         if wc == 0.0 and ref_point is None:
             ref_point = score
@@ -844,9 +742,9 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
             args.current, args.baseline, tolerance=args.tolerance
         )
     except FileNotFoundError as exc:
-        raise SystemExit(f"perf check: missing BENCH file: {exc}")
+        raise UsageError(f"perf check: missing BENCH file: {exc}")
     except ValueError as exc:
-        raise SystemExit(f"perf check: {exc}")
+        raise UsageError(f"perf check: {exc}")
     print(comparison.describe())
     return 0 if comparison.ok else 1
 
@@ -857,9 +755,9 @@ def _cmd_perf_show(args: argparse.Namespace) -> int:
     try:
         records = perf.load_records(args.file)
     except FileNotFoundError as exc:
-        raise SystemExit(f"perf show: missing BENCH file: {exc}")
+        raise UsageError(f"perf show: missing BENCH file: {exc}")
     except ValueError as exc:
-        raise SystemExit(f"perf show: {exc}")
+        raise UsageError(f"perf show: {exc}")
     for r in sorted(records, key=lambda r: r.key):
         print(
             f"{r.bench:28s} {r.metric:18s} {r.value:>12.4g} {r.unit:4s} "
@@ -869,11 +767,9 @@ def _cmd_perf_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.io import save_dot, save_json, save_svg
 
-    w = _load_workload(args.preset, args.seed)
+    w = PRESETS[args.preset](args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = w.name
@@ -900,8 +796,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.online import flow_table, summary_lines
     from repro.online import (
         DynamicSimulator,
@@ -913,6 +807,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.workloads.presets import WorkloadSpec
 
+    reopt = None
+    if args.reopt != "off":
+        reopt = _config(
+            "serve",
+            ReoptConfig,
+            interval=args.reopt_interval,
+            engine=args.reopt,
+            max_iterations=args.reopt_budget,
+        )
     template = WorkloadSpec(
         num_tasks=args.tasks,
         num_machines=args.machines,
@@ -936,13 +839,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         save_trace(stream, args.trace_out)
         print(f"wrote trace {args.trace_out}")
 
-    reopt = None
-    if args.reopt != "off":
-        reopt = ReoptConfig(
-            interval=args.reopt_interval,
-            engine=args.reopt,
-            max_iterations=args.reopt_budget,
-        )
     service = DynamicSimulator(
         stream,
         network=args.network,
@@ -963,6 +859,56 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Declarations of the options several subcommands share.
+_SHARED_FLAGS = {
+    "--preset": dict(default="small", choices=sorted(PRESETS)),
+    "--seed": dict(type=int, default=0),
+    "--network": dict(
+        default="contention-free",
+        choices=["contention-free", "nic"],
+        help="simulator backend: the paper's contention-free model or "
+        "NIC serialisation",
+    ),
+    "--platform": dict(
+        default="uniform",
+        help="machine catalog runs are costed against (see `repro "
+        "algorithms`; uniform changes nothing)",
+    ),
+    # the risk bundle: what the engines optimise under duration noise
+    "--objective": dict(
+        default="makespan",
+        help="scalar to optimise: makespan, weighted:<wm>:<wc>, or "
+        "a scenario objective mean / quantile:<q> / cvar:<q> / "
+        "saa:<T>:<eps> (see `repro algorithms`)",
+    ),
+    "--scenarios": dict(
+        type=int,
+        default=0,
+        help="Monte-Carlo scenarios backing a scenario objective "
+        "(0 = deterministic)",
+    ),
+    "--distribution": dict(
+        default="deterministic",
+        help="duration-noise model for scenario sampling, e.g. "
+        "lognormal:0.25 (see `repro algorithms`)",
+    ),
+    "--scenario-seed": dict(
+        type=int,
+        default=0,
+        help="seed of the scenario sample (independent of --seed)",
+    ),
+}
+
+
+def _shared(*flags: str, **defaults) -> argparse.ArgumentParser:
+    """An argparse parent declaring *flags* from :data:`_SHARED_FLAGS`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_SHARED_FLAGS[flag])
+    parent.set_defaults(**defaults)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mshc",
@@ -972,74 +918,42 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engines = ", ".join(ENGINES)
+    scaled = ", ".join(
+        f"{e.name} gets {e.scale} {e.unit} per unit"
+        for e in ENGINES.values()
+        if e.scale > 1
+    )
+    workload = ("--preset", "--seed")
+    backend = ("--network", "--platform")
+    risk = ("--objective", "--scenarios", "--distribution", "--scenario-seed")
 
-    def add_risk_flags(p: argparse.ArgumentParser) -> None:
-        """The risk bundle shared by run and sweep."""
-        p.add_argument(
-            "--objective",
-            default="makespan",
-            help="scalar to optimise: makespan, weighted:<wm>:<wc>, or "
-            "a scenario objective mean / quantile:<q> / cvar:<q> / "
-            "saa:<T>:<eps> (see `repro algorithms`)",
-        )
-        p.add_argument(
-            "--scenarios",
-            type=int,
-            default=0,
-            help="Monte-Carlo scenarios backing a scenario objective "
-            "(0 = deterministic)",
-        )
-        p.add_argument(
-            "--distribution",
-            default="deterministic",
-            help="duration-noise model for scenario sampling, e.g. "
-            "lognormal:0.25 (see `repro algorithms`)",
-        )
-        p.add_argument(
-            "--scenario-seed",
-            type=int,
-            default=0,
-            help="seed of the scenario sample (independent of --seed)",
-        )
-
-    p = sub.add_parser("describe", help="print a workload preset summary")
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "describe",
+        help="print a workload preset summary",
+        parents=[_shared(*workload)],
+    )
     p.set_defaults(func=_cmd_describe)
 
-    p = sub.add_parser("run", help="run one algorithm on a preset")
+    p = sub.add_parser(
+        "run",
+        help="run one algorithm on a preset",
+        parents=[_shared(*workload, *backend, *risk)],
+    )
     p.add_argument(
         "--algo",
         default="se",
-        choices=[
-            "se", "ga", "sa", "tabu", "heft", "minmin", "maxmin", "olb",
-            "random",
-        ],
+        choices=[*ENGINES, "heft", "minmin", "maxmin", "olb", "random"],
     )
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--iterations",
         type=int,
         default=200,
-        help="iteration cap (sa gets 50 move proposals per unit)",
+        help=f"iteration cap ({scaled})",
     )
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--y", type=int, default=None, help="SE Y parameter")
     p.add_argument("--bias", type=float, default=None, help="SE selection bias B")
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend: paper model or NIC serialisation",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog the run is costed against "
-        "(see `repro algorithms`; default changes nothing)",
-    )
-    add_risk_flags(p)
     p.add_argument("--gantt", action="store_true", help="print ASCII Gantt chart")
     p.add_argument(
         "--verbose",
@@ -1052,26 +966,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare",
         help="iterative engines head-to-head under one wall-clock budget",
+        parents=[_shared(*workload, *backend)],
     )
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=float, default=10.0, help="seconds per algorithm")
     p.add_argument("--points", type=int, default=16)
     p.add_argument(
         "--algos",
         default="se,ga",
-        help="comma list of engines to race (se, ga, sa, tabu)",
-    )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every engine optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every engine races on",
+        help=f"comma list of engines to race ({engines})",
     )
     p.set_defaults(func=_cmd_compare)
 
@@ -1079,9 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
         "race",
         help="anytime portfolio: race every engine in parallel, share "
         "the incumbent, best schedule at the deadline",
+        parents=[_shared(*workload, *backend)],
     )
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--deadline",
         type=float,
@@ -1091,8 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engines",
-        default="se,ga,sa,tabu",
-        help="comma list of engine kinds to race (se, ga, sa, tabu)",
+        default=",".join(ENGINES),
+        help=f"comma list of engine kinds to race ({engines})",
     )
     p.add_argument(
         "--islands",
@@ -1120,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="incumbent poll stride for all islands (default: "
-        "per-engine, see repro.portfolio.islands)",
+        "per-engine, see repro.engines)",
     )
     p.add_argument(
         "--mode",
@@ -1128,17 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["process", "thread"],
         help="island execution: one process per island (default) or "
         "GIL-sharing threads",
-    )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every island optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every island is costed against",
     )
     p.add_argument(
         "--output",
@@ -1162,6 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="parallel algorithms x workload-grid x seeds sweep",
+        parents=[_shared(*backend, *risk)],
     )
     p.add_argument("--name", default="sweep", help="experiment name")
     p.add_argument(
@@ -1189,19 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
             "unaffected)"
         ),
     )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every algorithm optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every algorithm is costed against "
-        "(adds a cost column to the artifacts)",
-    )
-    add_risk_flags(p)
     p.add_argument("--workers", type=int, default=1, help="process count")
     p.add_argument("--cache", default=None, help="resume-cache directory")
     p.add_argument("--out", default=None, help="write JSON+CSV artifacts here")
@@ -1209,9 +1087,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="no per-cell progress")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("export", help="write workload/schedule artifacts")
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "export",
+        help="write workload/schedule artifacts",
+        parents=[_shared(*workload)],
+    )
     p.add_argument("--out", default="artifacts", help="output directory")
     p.add_argument(
         "--schedule",
@@ -1221,27 +1101,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=150)
     p.set_defaults(func=_cmd_export)
 
+    warm = warm_start_engines()
     p = sub.add_parser(
         "pareto",
         help="trace the (makespan, cost) front on a priced platform",
+        # uniform is rejected here: its cost is identically 0
+        parents=[_shared(*workload, *backend, platform="spot")],
     )
-    p.add_argument("--preset", default="small", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--algo",
-        default="sa",
-        choices=["sa", "tabu"],
-        help="engine run once per weight (sa and tabu accept a shared "
-        "evaluation service)",
-    )
-    p.add_argument(
-        "--platform",
-        default="spot",
-        help="priced machine catalog (uniform is rejected: cost is 0)",
-    )
-    p.add_argument(
-        "--network", default="contention-free",
-        choices=["contention-free", "nic"],
+        default=warm[0],
+        choices=warm,
+        help=f"engine run once per weight ({', '.join(warm)} accept a "
+        "shared evaluation service)",
     )
     p.add_argument(
         "--weights",
@@ -1252,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations",
         type=int,
         default=100,
-        help="per-weight iteration cap (sa gets 50 proposals per unit)",
+        help=f"per-weight iteration cap ({scaled})",
     )
     p.add_argument(
         "--budget", type=float, default=None, help="seconds per weight"
@@ -1300,6 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the online scheduling service over a job stream",
+        parents=[_shared("--network", "--seed")],
     )
     p.add_argument(
         "--rate",
@@ -1323,9 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["heft", "min-min", "max-min", "olb"],
         help="frontier dispatch policy",
     )
-    p.add_argument(
-        "--network", default="contention-free", choices=["contention-free", "nic"]
-    )
     p.add_argument("--tasks", type=int, default=20, help="tasks per job")
     p.add_argument("--machines", type=int, default=8)
     p.add_argument(
@@ -1335,11 +1205,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--heterogeneity", default="medium", choices=["low", "medium", "high"]
     )
     p.add_argument("--ccr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--reopt",
         default="off",
-        choices=["off", "sa", "tabu"],
+        choices=["off", *warm],
         help="periodic re-optimisation engine",
     )
     p.add_argument(
@@ -1368,9 +1237,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser("figure", help="regenerate a paper figure (ASCII)")
+    p = sub.add_parser(
+        "figure",
+        help="regenerate a paper figure (ASCII)",
+        parents=[_shared("--seed")],
+    )
     p.add_argument("id", choices=["3a", "3b", "4a", "4b", "5", "6", "7"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=300)
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--points", type=int, default=16)
@@ -1381,7 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,14 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from repro.optim.objective import resolve_objective
+from repro.optim.objective import validate_run_target
 from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
-from repro.stochastic.distributions import validate_scenario_settings
+from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.utils.rng import RandomSource
 
 AllocationSlots = Literal["per-machine", "all-positions"]
@@ -159,16 +154,7 @@ class SEConfig:
             raise ValueError(
                 f"y_candidates must be >= 1, got {self.y_candidates}"
             )
-        if self.max_iterations < 0:
-            raise ValueError(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-        if self.time_limit is not None and self.time_limit < 0:
-            raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
-        if self.stall_iterations is not None and self.stall_iterations < 1:
-            raise ValueError(
-                f"stall_iterations must be >= 1, got {self.stall_iterations}"
-            )
+        self.stop_policy()  # validates the cap, clock and stall fields
         lo, hi = self.initial_shuffle_range
         if lo < 0 or hi < lo:
             raise ValueError(
@@ -184,15 +170,7 @@ class SEConfig:
                 f"probe_evaluation must be 'delta' or 'batch', "
                 f"got {self.probe_evaluation!r}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        validate_run_target(self)
 
     def stop_policy(self) -> StopPolicy:
         """The run's stopping rules as a shared :class:`StopPolicy`."""

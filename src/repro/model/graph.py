@@ -3,17 +3,19 @@
 ``TaskGraph`` is the immutable structural backbone of the library.  It is
 built once per workload and then queried millions of times from the SE /
 GA inner loops, so all adjacency is precomputed into tuples of dense ints
-at construction time; :mod:`networkx` is used only for construction-time
-validation and interop, never in hot paths.
+at construction time.  :mod:`networkx` is an optional interop extra:
+it is imported only inside :meth:`TaskGraph.from_networkx` /
+:meth:`TaskGraph.to_networkx`, never by the library itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.model.task import DataItem, Subtask
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class TaskGraph:
@@ -159,6 +161,8 @@ class TaskGraph:
         Parallel data items are merged into a single edge whose ``items``
         attribute lists their indices and whose ``size`` sums their sizes.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.num_tasks))
         for d in self._items:

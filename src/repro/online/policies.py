@@ -33,9 +33,8 @@ from repro.baselines.heft import heft
 from repro.baselines.minmin import max_min, min_min
 from repro.baselines.olb import olb
 from repro.model.workload import Workload
-from repro.optim.annealing import SAConfig, run_sa
+from repro.engines import ENGINES, warm_start_engines
 from repro.optim.evaluation import EvaluationService
-from repro.optim.tabu import TabuConfig, run_tabu
 from repro.schedule.backend import DEFAULT_NETWORK
 from repro.schedule.encoding import ScheduleString
 
@@ -47,9 +46,6 @@ DISPATCH_POLICIES: Dict[str, Callable[..., BaselineResult]] = {
     "max-min": max_min,
     "heft": heft,
 }
-
-#: Re-optimisation engine name -> functional runner.
-REOPT_ENGINES = ("tabu", "sa")
 
 
 def dispatch(
@@ -84,7 +80,8 @@ class ReoptConfig:
     interval:
         Simulated-time gap between ticks.
     engine:
-        ``"tabu"`` (batch-scored neighborhoods) or ``"sa"``
+        A catalog engine that accepts ``initial=`` / ``service=``:
+        ``"tabu"`` (batch-scored neighborhoods, the default) or ``"sa"``
         (delta-scored proposals).
     max_iterations:
         Engine iteration budget per job per window — the deterministic
@@ -104,10 +101,10 @@ class ReoptConfig:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError(f"interval must be > 0, got {self.interval}")
-        if self.engine not in REOPT_ENGINES:
+        if self.engine not in warm_start_engines():
             raise ValueError(
                 f"unknown reopt engine {self.engine!r}; "
-                f"available: {list(REOPT_ENGINES)}"
+                f"available: {list(warm_start_engines())}"
             )
         if self.max_iterations < 0:
             raise ValueError(
@@ -138,40 +135,23 @@ def improve_residual(
     otherwise the exact incumbent object is returned, which the caller
     re-commits bit-identically.
     """
+    entry = ENGINES[config.engine]
     service = EvaluationService(
         workload,
         network,
-        prefer_batch=(config.engine == "tabu"),
+        prefer_batch=entry.batch_scoring,
         initial_avail=initial_avail,
         initial_nic_free=initial_nic_free,
     )
     incumbent_cost = service.string_makespan(incumbent)
     if config.max_iterations == 0:
         return incumbent, incumbent_cost, False
-    if config.engine == "tabu":
-        result = run_tabu(
-            workload,
-            TabuConfig(
-                max_iterations=config.max_iterations,
-                time_limit=config.time_limit,
-                network=network,
-                seed=seed,
-            ),
-            initial=incumbent,
-            service=service,
-        )
-    else:
-        result = run_sa(
-            workload,
-            SAConfig(
-                max_iterations=config.max_iterations,
-                time_limit=config.time_limit,
-                network=network,
-                seed=seed,
-            ),
-            initial=incumbent,
-            service=service,
-        )
+    cfg = entry.config(
+        **entry.limits(config.max_iterations, config.time_limit),
+        network=network,
+        seed=seed,
+    )
+    result = entry.run(workload, cfg, initial=incumbent, service=service)
     if result.best_makespan < incumbent_cost:
         return result.best_string, result.best_makespan, True
     return incumbent, incumbent_cost, False

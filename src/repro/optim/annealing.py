@@ -40,7 +40,7 @@ from repro.model.workload import Workload
 from repro.optim.evaluation import EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
-from repro.optim.objective import resolve_objective
+from repro.optim.objective import validate_run_target
 from repro.optim.neighborhood import (
     apply_move,
     first_changed_position,
@@ -50,14 +50,9 @@ from repro.optim.neighborhood import (
 from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
 from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
+from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
-from repro.stochastic.distributions import validate_scenario_settings
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
@@ -91,10 +86,10 @@ class SAConfig:
         :class:`~repro.analysis.trace.IterationRecord` (and notify
         observers) only every Nth proposal — plus every proposal that
         improves the global best, so best-so-far curves stay exact.
-        The default 1 records everything; wall-clock-budget harnesses
-        (``sa_runner``, ``repro sweep --budget``) use coarser strides
-        because a multi-minute budget means millions of ~25 µs
-        proposals, and a per-proposal trace would grow unbounded.
+        The default 1 records everything; wall-clock budgets and race
+        islands use coarser strides (see :mod:`repro.engines`) because
+        a multi-minute budget means millions of ~25 µs proposals, and a
+        per-proposal trace would grow unbounded.
     time_limit:
         Optional wall-clock cap in seconds.
     stall_iterations:
@@ -159,15 +154,7 @@ class SAConfig:
             raise ValueError(
                 f"record_every must be >= 1, got {self.record_every}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        validate_run_target(self)
         # iteration/time/stall bounds are validated by the StopPolicy
         StopPolicy(self.max_iterations, self.time_limit, self.stall_iterations)
 

@@ -58,6 +58,25 @@ import numpy as np
 
 from repro.schedule.scoring import CostModel, ScheduleScore
 
+def validate_run_target(cfg) -> None:
+    """Check the fields every engine config shares (raises ValueError).
+
+    ``network`` must name a backend and ``platform`` a registered
+    catalog, and ``objective`` / ``scenarios`` / ``distribution`` must
+    form a valid combination (see
+    :func:`~repro.stochastic.distributions.validate_scenario_settings`).
+    """
+    from repro.schedule.backend import resolve_platform
+    from repro.stochastic.distributions import validate_scenario_settings
+
+    if not isinstance(cfg.network, str) or not cfg.network:
+        raise ValueError(
+            f"network must be a backend name string, got {cfg.network!r}"
+        )
+    resolve_platform(cfg.platform)
+    validate_scenario_settings(cfg.objective, cfg.scenarios, cfg.distribution)
+
+
 __all__ = [
     "MAKESPAN",
     "MakespanObjective",
@@ -67,6 +86,7 @@ __all__ = [
     "OBJECTIVE_FORMS",
     "weighted",
     "resolve_objective",
+    "validate_run_target",
     "ObjectiveBackend",
 ]
 

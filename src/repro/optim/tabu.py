@@ -48,18 +48,13 @@ from repro.optim.evaluation import EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
 from repro.optim.neighborhood import applied_copy, random_move
-from repro.optim.objective import resolve_objective
+from repro.optim.objective import validate_run_target
 from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
 from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
+from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
-from repro.stochastic.distributions import validate_scenario_settings
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
@@ -129,15 +124,7 @@ class TabuConfig:
             raise ValueError(
                 f"reassign_prob must be in [0, 1], got {self.reassign_prob}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        validate_run_target(self)
         StopPolicy(self.max_iterations, self.time_limit, self.stall_iterations)
 
     def stop_policy(self) -> StopPolicy:

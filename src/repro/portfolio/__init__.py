@@ -39,8 +39,6 @@ from repro.portfolio.exchange import (
     SyncChannel,
 )
 from repro.portfolio.islands import (
-    DEFAULT_INTERVALS,
-    ENGINE_KINDS,
     IslandOutcome,
     IslandSpec,
     build_islands,
@@ -48,8 +46,6 @@ from repro.portfolio.islands import (
 )
 
 __all__ = [
-    "DEFAULT_INTERVALS",
-    "ENGINE_KINDS",
     "EXTERNAL_SOURCE",
     "IncumbentExchange",
     "IslandOutcome",

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.model.workload import Workload
+from repro.engines import ENGINES, engine
 from repro.portfolio.islands import (
-    ENGINE_KINDS,
     IslandOutcome,
     IslandSpec,
     build_islands,
@@ -82,7 +82,7 @@ class RaceConfig:
         "thread"``.
     exchange_interval:
         Poll stride override for all islands; default is per-engine
-        (see :data:`repro.portfolio.islands.DEFAULT_INTERVALS`).
+        (see :data:`repro.engines.ENGINES`).
     mode:
         ``"process"`` (default) or ``"thread"``.
     workers:
@@ -95,7 +95,7 @@ class RaceConfig:
         ``(seed, "island", i, kind)``.
     """
 
-    engines: Tuple[str, ...] = ENGINE_KINDS
+    engines: Tuple[str, ...] = tuple(ENGINES)
     islands: int = 0
     deadline: Optional[float] = 2.0
     max_iterations: Optional[int] = None
@@ -115,11 +115,7 @@ class RaceConfig:
         else:
             self.engines = tuple(self.engines)
         for kind in self.engines:
-            if kind not in ENGINE_KINDS:
-                raise ValueError(
-                    f"unknown engine kind {kind!r}; expected a subset of "
-                    f"{', '.join(ENGINE_KINDS)}"
-                )
+            engine(kind)  # unknown kinds raise ValueError
         if not self.engines:
             raise ValueError("engines must name at least one engine kind")
         if self.islands < 0:
@@ -243,10 +239,6 @@ class RaceResult:
         }
 
 
-def _pick_best(outcomes: Sequence[IslandOutcome]) -> IslandOutcome:
-    return min(outcomes, key=lambda o: (o.best_makespan, o.island))
-
-
 def run_race(
     workload: Union[Workload, WorkloadSpec],
     config: Optional[RaceConfig] = None,
@@ -267,6 +259,8 @@ def run_race(
         0.9}}`` — applied on top of the race defaults (tests pin exact
         engine configs through this).
     """
+    from repro.portfolio.exchange import LocalChannel, SyncChannel
+
     cfg = config or RaceConfig()
     if isinstance(workload, WorkloadSpec):
         workload = build_workload(workload)
@@ -295,14 +289,15 @@ def run_race(
         # engine's own golden trajectory
         outcomes = [run_island(specs[0], workload, None, epoch)]
     elif cfg.sync_every is not None:
-        outcomes = _run_lockstep(specs, workload, epoch)
+        channel = SyncChannel(len(specs))
+        outcomes = _run_threads(specs, workload, epoch, channel)
     elif cfg.mode == "thread":
-        outcomes = _run_threads(specs, workload, epoch)
+        outcomes = _run_threads(specs, workload, epoch, LocalChannel())
     else:
         outcomes = _run_processes(specs, workload, epoch, cfg.workers)
     wall = time.perf_counter() - t0
 
-    winner = _pick_best(outcomes)
+    winner = min(outcomes, key=lambda o: (o.best_makespan, o.island))
     return RaceResult(
         workload=name,
         islands=tuple(sorted(outcomes, key=lambda o: o.island)),
@@ -314,26 +309,9 @@ def run_race(
     )
 
 
-def _run_lockstep(
-    specs: Sequence[IslandSpec], workload: Workload, epoch: float
-) -> list[IslandOutcome]:
-    from repro.portfolio.exchange import SyncChannel
-
-    channel = SyncChannel(len(specs))
-    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        futures = [
-            pool.submit(run_island, spec, workload, channel, epoch)
-            for spec in specs
-        ]
-        return [f.result() for f in futures]
-
-
 def _run_threads(
-    specs: Sequence[IslandSpec], workload: Workload, epoch: float
+    specs: Sequence[IslandSpec], workload: Workload, epoch: float, channel
 ) -> list[IslandOutcome]:
-    from repro.portfolio.exchange import LocalChannel
-
-    channel = LocalChannel()
     with ThreadPoolExecutor(max_workers=len(specs)) as pool:
         futures = [
             pool.submit(run_island, spec, workload, channel, epoch)

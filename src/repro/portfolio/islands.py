@@ -19,22 +19,11 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
+from repro.engines import engine
 from repro.model.workload import Workload
 from repro.runner.spec import derive_seed
-
-#: Engine kinds a portfolio can race, in default cycling order.
-ENGINE_KINDS: Tuple[str, ...] = ("se", "ga", "sa", "tabu")
-
-#: Default poll stride per engine kind, tuned to iteration granularity:
-#: an SA proposal is ~25 µs while a shared-channel poll is ~0.1 ms, so
-#: SA polls every 500th proposal; SE/GA/tabu iterations cost hundreds of
-#: evaluations each, so a poll every 5-10 iterations is already <1%.
-DEFAULT_INTERVALS = {"se": 5, "ga": 5, "sa": 500, "tabu": 10}
-
-#: Effectively-unbounded iteration cap for deadline-only runs.
-UNBOUNDED = 10**9
 
 
 @dataclass(frozen=True)
@@ -69,43 +58,6 @@ class IslandOutcome:
     anytime: list
 
 
-def engine_defaults(
-    kind: str,
-    deadline: Optional[float],
-    max_iterations: Optional[int],
-    network: str,
-    platform: str,
-) -> dict:
-    """The flat config-override dict for a race island of *kind*.
-
-    Deadline-driven islands get an unbounded iteration cap, no stall
-    rule (an island that stops early would idle its core), and — for
-    SA, whose proposals are ~25 µs — a coarse trace stride so a
-    multi-second budget cannot grow an unbounded trace.
-    """
-    if kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"unknown engine kind {kind!r}; expected one of "
-            f"{', '.join(ENGINE_KINDS)}"
-        )
-    params: dict = {"network": network, "platform": platform}
-    cap = "max_generations" if kind == "ga" else "max_iterations"
-    if max_iterations is not None:
-        params[cap] = max_iterations
-    else:
-        params[cap] = UNBOUNDED
-    if deadline is not None:
-        params["time_limit"] = deadline
-    if kind == "ga":
-        params["stall_generations"] = None
-    elif kind != "sa":
-        params["stall_iterations"] = None
-    if kind == "sa":
-        params["stall_iterations"] = None
-        params["record_every"] = 100
-    return params
-
-
 def build_islands(
     engines: Sequence[str],
     islands: int,
@@ -135,8 +87,12 @@ def build_islands(
     overrides = engine_params or {}
     for i in range(islands):
         kind = engines[i % len(engines)]
-        params = engine_defaults(
-            kind, deadline, max_iterations, network, platform
+        entry = engine(kind)
+        # an island runs to its cap or deadline: a stall stop would idle
+        # its core, and SA's trace is thinned to the race stride
+        params = {"network": network, "platform": platform}
+        params.update(
+            entry.limits(max_iterations, deadline, stall=False, trace="race")
         )
         params.update(overrides.get(kind, {}))
         seed = (
@@ -150,11 +106,7 @@ def build_islands(
                 kind=kind,
                 seed=seed,
                 params=params,
-                interval=(
-                    interval
-                    if interval is not None
-                    else DEFAULT_INTERVALS[kind]
-                ),
+                interval=interval if interval is not None else entry.interval,
             )
         )
     return specs
@@ -199,36 +151,13 @@ def run_island(
     offset = 0.0 if race_epoch is None else max(0.0, start - race_epoch)
     t0 = time.perf_counter()
     try:
-        if spec.kind == "se":
-            from repro.core import SEConfig, SimulatedEvolution
-
-            res = SimulatedEvolution(
-                SEConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        elif spec.kind == "ga":
-            from repro.baselines import GAConfig, GeneticAlgorithm
-
-            res = GeneticAlgorithm(
-                GAConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.generations
-        elif spec.kind == "sa":
-            from repro.optim import SAConfig, SimulatedAnnealing
-
-            res = SimulatedAnnealing(
-                SAConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        elif spec.kind == "tabu":
-            from repro.optim import TabuConfig, TabuSearch
-
-            res = TabuSearch(
-                TabuConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        else:  # pragma: no cover - guarded by engine_defaults
-            raise ValueError(f"unknown engine kind {spec.kind!r}")
+        entry = engine(spec.kind)
+        res = entry.run(
+            workload,
+            entry.config(seed=spec.seed, **spec.params),
+            observers=observers,
+            exchange=exchange,
+        )
     finally:
         if exchange is not None:
             exchange.finish()
@@ -243,7 +172,7 @@ def run_island(
             "order": list(res.best_string.order),
             "machines": list(res.best_string.machines),
         },
-        iterations=iterations,
+        iterations=entry.iterations_of(res),
         evaluations=res.evaluations,
         stopped_by=res.stopped_by,
         kernel_tier=kernel_tier(spec.params.get("network", "contention-free")),

@@ -51,7 +51,7 @@ from repro.workloads.presets import build_workload
 ProgressFn = Callable[[int, int, CellResult, bool], None]
 
 
-def _platform_view(workload, platform: str):
+def platform_view(workload, platform: str):
     """``(effective workload, cost model | None)`` for a cell's platform.
 
     The effective workload carries the platform's speed-scaled matrix
@@ -117,7 +117,7 @@ def run_cell(cell: ExperimentCell) -> CellResult:
     runtime = time.perf_counter() - t0
     cls = workload.classification
     platform = str(params.get("platform", DEFAULT_PLATFORM))
-    effective, cost_model = _platform_view(workload, platform)
+    effective, cost_model = platform_view(workload, platform)
     return CellResult(
         cell_id=cell.cell_id(),
         algorithm=cell.algorithm,

@@ -17,9 +17,10 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional
 
+from repro.engines import ENGINES
 from repro.model.workload import Workload
 from repro.schedule.backend import DEFAULT_NETWORK
 
@@ -101,47 +102,6 @@ def algorithm_parameters(name: str) -> tuple:
     return tuple(source() if callable(source) else source)
 
 
-def _config_fields(import_config: Callable[[], type]) -> Callable[[], tuple]:
-    """Lazy param source: the field names of a config dataclass."""
-
-    def read() -> tuple:
-        from dataclasses import fields
-
-        return tuple(f.name for f in fields(import_config()))
-
-    return read
-
-
-def _se_config() -> type:
-    from repro.core import SEConfig
-
-    return SEConfig
-
-
-def _ga_config() -> type:
-    from repro.baselines import GAConfig
-
-    return GAConfig
-
-
-def _sa_config() -> type:
-    from repro.optim import SAConfig
-
-    return SAConfig
-
-
-def _tabu_config() -> type:
-    from repro.optim import TabuConfig
-
-    return TabuConfig
-
-
-def _race_config() -> type:
-    from repro.portfolio import RaceConfig
-
-    return RaceConfig
-
-
 # ----------------------------------------------------------------------
 # built-in entries
 # ----------------------------------------------------------------------
@@ -164,57 +124,45 @@ def _seed_of(seed: int, params: dict) -> int:
     return params.pop("seed", seed)
 
 
-@register_algorithm("se", params=_config_fields(_se_config))
-def _run_se(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.core import SEConfig, SimulatedEvolution
+def _engine_cell(entry):
+    """Registry entry running catalog engine *entry* on one cell."""
 
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = SimulatedEvolution(SEConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={
-            "bias": res.bias,
-            "y_candidates": res.y_candidates,
-            "best_string": _string_pairs(res.best_string),
-        },
+    def run(workload: Workload, seed: int, params: dict) -> CellOutcome:
+        params = dict(params)
+        seed = _seed_of(seed, params)
+        res = entry.run(workload, entry.config(seed=seed, **params))
+        extras = {name: getattr(res, name) for name in entry.extras}
+        extras["best_string"] = _string_pairs(res.best_string)
+        return CellOutcome(
+            makespan=res.best_makespan,
+            evaluations=res.evaluations,
+            iterations=entry.iterations_of(res),
+            stopped_by=res.stopped_by,
+            trace_rows=res.trace.to_rows(),
+            extras=extras,
+        )
+
+    return run
+
+
+for _entry in ENGINES.values():
+    register_algorithm(_entry.name, params=_entry.field_names)(
+        _engine_cell(_entry)
     )
 
 
-@register_algorithm("hybrid", params=_config_fields(_se_config))
+@register_algorithm("hybrid", params=ENGINES["se"].field_names)
 def _run_hybrid(workload: Workload, seed: int, params: dict) -> CellOutcome:
     """HEFT-seeded SE (the EXT-HYBRID warm-start extension)."""
-    from repro.core import SEConfig
     from repro.extensions.hybrid import heft_seeded_se
 
     params = dict(params)
     seed = _seed_of(seed, params)
-    res = heft_seeded_se(workload, SEConfig(seed=seed, **params))
+    res = heft_seeded_se(workload, ENGINES["se"].config(seed=seed, **params))
     return CellOutcome(
         makespan=res.best_makespan,
         evaluations=res.evaluations,
         iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
-    )
-
-
-@register_algorithm("ga", params=_config_fields(_ga_config))
-def _run_ga(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.baselines import GAConfig, GeneticAlgorithm
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = GeneticAlgorithm(GAConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.generations,
         stopped_by=res.stopped_by,
         trace_rows=res.trace.to_rows(),
         extras={"best_string": _string_pairs(res.best_string)},
@@ -240,55 +188,24 @@ def _deterministic(fn_name: str):
     return run
 
 
-register_algorithm("heft", params=("network", "platform"))(
-    _deterministic("heft")
-)
-register_algorithm("minmin", params=("network", "platform"))(
-    _deterministic("min_min")
-)
-register_algorithm("maxmin", params=("network", "platform"))(
-    _deterministic("max_min")
-)
-register_algorithm("olb", params=("network", "platform"))(
-    _deterministic("olb")
-)
-
-
-@register_algorithm("sa", params=_config_fields(_sa_config))
-def _run_sa(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.optim import SAConfig, SimulatedAnnealing
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = SimulatedAnnealing(SAConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
+for _name, _fn in (
+    ("heft", "heft"),
+    ("minmin", "min_min"),
+    ("maxmin", "max_min"),
+    ("olb", "olb"),
+):
+    register_algorithm(_name, params=("network", "platform"))(
+        _deterministic(_fn)
     )
 
 
-@register_algorithm("tabu", params=_config_fields(_tabu_config))
-def _run_tabu(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.optim import TabuConfig, TabuSearch
+def _race_params() -> tuple:
+    from repro.portfolio import RaceConfig
 
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = TabuSearch(TabuConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
-    )
+    return tuple(f.name for f in fields(RaceConfig))
 
 
-@register_algorithm("portfolio", params=_config_fields(_race_config))
+@register_algorithm("portfolio", params=_race_params)
 def _run_portfolio(workload: Workload, seed: int, params: dict) -> CellOutcome:
     """The anytime portfolio race as a sweep-able algorithm entry.
 

@@ -7,9 +7,8 @@ import pytest
 from repro.analysis.compare import (
     ComparisonSeries,
     compare_algorithms,
-    ga_runner,
+    engine_runner,
     make_time_grid,
-    se_runner,
     se_vs_ga,
 )
 from repro.analysis.trace import ConvergenceTrace, IterationRecord
@@ -120,12 +119,12 @@ class TestCompareAlgorithms:
 
 class TestRealRunners:
     def test_se_runner_respects_budget(self, tiny_workload):
-        trace = se_runner(seed=1)(tiny_workload, 0.3)
+        trace = engine_runner("se", seed=1)(tiny_workload, 0.3)
         assert len(trace) > 0
         assert trace.elapsed()[-1] <= 0.6  # small overshoot slack
 
     def test_ga_runner_respects_budget(self, tiny_workload):
-        trace = ga_runner(seed=1)(tiny_workload, 0.3)
+        trace = engine_runner("ga", seed=1)(tiny_workload, 0.3)
         assert len(trace) > 0
         assert trace.elapsed()[-1] <= 0.6
 

@@ -171,3 +171,28 @@ class TestNetworkxInterop:
         g.add_edge(0, 1, size=7.5)
         tg = TaskGraph.from_networkx(g)
         assert tg.data_item(0).size == 7.5
+
+
+def test_package_imports_without_networkx():
+    """networkx is an interop extra, not a dependency of the library."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys; sys.modules['networkx'] = None; "
+        "import repro, repro.cli; "
+        "w = repro.workloads.small_workload(seed=1); "
+        "print(w.graph.num_tasks)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0

@@ -2,41 +2,53 @@
 
 import pytest
 
+from repro.engines import ENGINES, UNBOUNDED
 from repro.portfolio import (
-    DEFAULT_INTERVALS,
-    ENGINE_KINDS,
     LocalChannel,
     build_islands,
     run_island,
 )
-from repro.portfolio.islands import UNBOUNDED, engine_defaults
 from repro.runner.spec import derive_seed
 from repro.workloads import small_workload
+
+ENGINE_KINDS = tuple(ENGINES)
+
+
+def island_params(kind, deadline, max_iterations, network="contention-free"):
+    """Race-default params of a single *kind* island."""
+    (spec,) = build_islands(
+        (kind,), 1, 0, deadline, max_iterations, network, "uniform"
+    )
+    return spec.params
+
+
+def island_config(kind, params):
+    return ENGINES[kind].config(**params)
 
 
 class TestEngineDefaults:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown engine kind"):
-            engine_defaults("heft", 1.0, None, "contention-free", "uniform")
+            island_params("heft", 1.0, None)
 
     def test_deadline_run_is_unbounded_and_stall_free(self):
-        p = engine_defaults("se", 2.0, None, "nic", "uniform")
+        p = island_params("se", 2.0, None, network="nic")
         assert p["max_iterations"] == UNBOUNDED
         assert p["time_limit"] == 2.0
-        assert p["stall_iterations"] is None
+        assert island_config("se", p).stall_iterations is None
         assert p["network"] == "nic"
 
     def test_ga_cap_field_is_generations(self):
-        p = engine_defaults("ga", None, 6, "contention-free", "uniform")
+        p = island_params("ga", None, 6)
         assert p["max_generations"] == 6
         assert "max_iterations" not in p
         assert p["stall_generations"] is None
         assert "time_limit" not in p
 
     def test_sa_gets_coarse_trace_stride(self):
-        p = engine_defaults("sa", 1.0, None, "contention-free", "uniform")
+        p = island_params("sa", 1.0, None)
         assert p["record_every"] == 100
-        assert p["stall_iterations"] is None
+        assert island_config("sa", p).stall_iterations is None
 
 
 class TestBuildIslands:
@@ -82,7 +94,7 @@ class TestBuildIslands:
     def test_intervals_default_per_kind(self):
         specs = self.build()
         assert [s.interval for s in specs[:4]] == [
-            DEFAULT_INTERVALS[k] for k in ENGINE_KINDS
+            ENGINES[k].interval for k in ENGINE_KINDS
         ]
 
     def test_interval_override_applies_to_all(self):
