@@ -649,7 +649,13 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.optim import ParetoTracker
     from repro.optim.evaluation import EvaluationService
 
-    _config("pareto", resolve_platform, platform=args.platform)
+    entry = ENGINES[args.algo]
+    shared = dict(
+        entry.limits(args.iterations * entry.scale, args.budget, trace="budget"),
+        network=args.network,
+        platform=args.platform,
+    )
+    _config("pareto", entry.config, **shared)  # also rejects unknown platforms
     w = PRESETS[args.preset](args.seed)
     if args.platform == "uniform":
         raise UsageError(
@@ -664,13 +670,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         raise UsageError(f"pareto: bad --weights {args.weights!r}")
     if not weights or not all(0.0 <= wc <= 1.0 for wc in weights):
         raise UsageError("pareto: --weights must be numbers in [0, 1]")
-    entry = ENGINES[args.algo]
-    shared = dict(
-        entry.limits(args.iterations * entry.scale, args.budget, trace="budget"),
-        network=args.network,
-        platform=args.platform,
-    )
-    _config("pareto", entry.config, **shared)
 
     ref = heft(w, network=args.network, platform=args.platform)
     print(
