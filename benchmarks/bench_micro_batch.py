@@ -10,9 +10,9 @@ exactly the call patterns the engines use:
 * MICRO-BATCH-SCALE  — the same at population 16 / 64 / 256;
 * MICRO-BATCH-RAND   — random search with chunked batch scoring;
 * MICRO-BATCH-SE     — the SE allocation probe stream, batch vs the
-  scalar full loop and vs the default incremental-delta path (delta's
-  branch-and-bound cutoff usually keeps it ahead — which is why it
-  stays the SE default; this bench keeps the trade-off measured);
+  scalar full loop and vs the incremental-delta path SE allocation
+  runs (delta's branch-and-bound cutoff keeps it ahead — which is why
+  SE has no batch probe mode; this bench keeps the trade-off measured);
 * MICRO-BATCH-NIC    — the same question under NIC contention: a batch
   of 128 schedules through the vectorized
   :class:`~repro.schedule.vectorized_contention.
@@ -213,8 +213,9 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
     incremental-delta path with its branch-and-bound cutoff, asserting
     identical greedy outcomes.  Records batch-vs-full and
     delta-vs-full ratios; delta staying ahead of batch is the expected
-    outcome (and the reason ``SEConfig.probe_evaluation`` defaults to
-    ``"delta"``).
+    outcome, and the reason SE allocation scores probes with
+    ``evaluate_delta`` only.  The batch arm replays the kernel
+    directly, so the bench needs no SE batch mode to measure it.
     """
     w = paper_scale_workload()
     sim = Simulator(w)

@@ -16,6 +16,11 @@ Two classes of rot this catches:
    ``repro perf check``.  Docs that advertise flags the CLI no longer
    accepts fail the build, not the reader.
 
+3. **Stale config keywords** — every keyword inside a
+   ``SEConfig(...)``, ``GAConfig(...)``, ``SAConfig(...)`` or
+   ``TabuConfig(...)`` mention must name a real field of that
+   dataclass, so a removed or renamed option cannot linger in the docs.
+
 Run from the repo root (CI does):  ``python scripts/check_docs.py``.
 Exits non-zero listing every violation.  ``--self-test`` runs the
 checker's own unit checks (also exercised by the test suite).
@@ -41,6 +46,8 @@ DOCUMENTS = (
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```(?:\w*)\n(.*?)```", re.DOTALL)
 _INLINE = re.compile(r"`(repro [^`]+)`")
+_CONFIG_CALL = re.compile(r"\b(SEConfig|GAConfig|SAConfig|TabuConfig)\(([^)]*)")
+_KEYWORD = re.compile(r"\b(\w+)=(?!=)")
 
 
 # ----------------------------------------------------------------------
@@ -162,12 +169,45 @@ def check_cli_references(doc: Path, text: str, surface) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# config keywords
+# ----------------------------------------------------------------------
+
+
+def _config_fields() -> dict[str, set[str]]:
+    """(config class name -> dataclass field names) of the engine configs."""
+    import dataclasses
+
+    from repro.baselines import GAConfig
+    from repro.core import SEConfig
+    from repro.optim import SAConfig, TabuConfig
+
+    return {
+        cls.__name__: {f.name for f in dataclasses.fields(cls)}
+        for cls in (SEConfig, GAConfig, SAConfig, TabuConfig)
+    }
+
+
+def check_config_keywords(doc: Path, text: str, fields) -> list[str]:
+    """Config-constructor keywords in *text* that name no dataclass field."""
+    errors = []
+    for cls, args in _CONFIG_CALL.findall(text):
+        for name in _KEYWORD.findall(args):
+            if name not in fields[cls]:
+                errors.append(
+                    f"{doc.relative_to(REPO)}: {cls} has no field "
+                    f"{name!r} (in `{cls}({name}=`)"
+                )
+    return errors
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
 
 def run(documents=DOCUMENTS) -> list[str]:
     surface = _parser_surface()
+    fields = _config_fields()
     errors = []
     for name in documents:
         doc = REPO / name
@@ -177,6 +217,7 @@ def run(documents=DOCUMENTS) -> list[str]:
         text = doc.read_text()
         errors += check_links(doc, text)
         errors += check_cli_references(doc, text, surface)
+        errors += check_config_keywords(doc, text, fields)
     return errors
 
 
@@ -199,6 +240,13 @@ def self_test() -> None:
     # fenced blocks are scanned too
     fenced = "```bash\n$ repro sweep --no-such-flag\n```\n"
     assert check_cli_references(doc, fenced, surface)
+    # config keywords must be dataclass fields, across wrapped calls too
+    fields = _config_fields()
+    assert not check_config_keywords(doc, "`SEConfig(network=...)`", fields)
+    assert check_config_keywords(doc, "`SEConfig(no_such_field=...)`", fields)
+    wrapped = "SAConfig(\n...     seed=1,\n...     bogus_knob=2)"
+    assert check_config_keywords(doc, wrapped, fields)
+    assert not check_config_keywords(doc, "TabuConfig(tenure=7)", fields)
 
 
 def main(argv) -> int:

@@ -212,8 +212,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     w = PRESETS[args.preset](args.seed)
     if args.verbose:
         # capability of the selected backend, not a per-run trace: only
-        # algorithms that batch-score (ga, tabu, random, se with
-        # probe_evaluation="batch") actually exercise the kernel
+        # algorithms that batch-score (ga, tabu, random) actually
+        # exercise the kernel
         print(
             f"network {args.network!r}: batch evaluation via "
             f"{_batch_mode(args.network)} "

@@ -117,13 +117,12 @@ class SimulatedEvolution:
         graph = workload.graph
         # The backend is the objective: "nic" makes every probe, commit
         # and best-makespan account for NIC serialisation; a non-default
-        # platform/objective makes them cost-aware.  With
-        # probe_evaluation="batch" the service routes candidate-set
-        # scoring through the network's batch kernel.
+        # platform/objective makes them cost-aware.  Allocation probes
+        # one candidate at a time (delta + cutoff), so no batch kernel.
         service = EvaluationService(
             workload,
             cfg.network,
-            prefer_batch=cfg.probe_evaluation == "batch",
+            prefer_batch=False,
             platform=cfg.platform,
             objective=cfg.objective,
             scenarios=cfg.scenarios,
@@ -142,7 +141,6 @@ class SimulatedEvolution:
             service.backend,
             y_candidates=y,
             slots=cfg.allocation_slots,
-            probes=cfg.probe_evaluation,
         )
 
         if initial is None:

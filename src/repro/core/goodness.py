@@ -69,7 +69,9 @@ def goodness_values(
         The precomputed ``O`` vector from :func:`optimal_finish_times`.
     current_finish:
         The ``C`` vector — per-subtask finish times of the current
-        solution (see :meth:`repro.schedule.simulator.Simulator.finish_times`).
+        solution, i.e. the ``finish`` of its evaluated
+        :class:`~repro.schedule.simulator.Schedule` (the SE engine reads
+        it off the allocator's final ``prepare`` snapshot).
     """
     c = np.asarray(current_finish, dtype=float)
     if c.shape != optimal.shape:

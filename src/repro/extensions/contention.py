@@ -53,21 +53,14 @@ from typing import Optional, Sequence
 from repro.model.workload import Workload
 from repro.schedule.backend import register_network
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.scoring import CostModel, ScheduleScore
-from repro.schedule.simulator import InvalidScheduleError, Schedule
-
-
-def _state_vector(
-    values: Optional[Sequence[float]], l: int, label: str
-) -> list[float]:
-    """Normalise an optional per-machine time vector (default all zero)."""
-    if values is None:
-        return [0.0] * l
-    if len(values) != l:
-        raise ValueError(
-            f"{label} has {len(values)} entries for {l} machines"
-        )
-    return [float(v) for v in values]
+from repro.schedule.scoring import CostModel
+from repro.schedule.simulator import (
+    DeltaState,
+    InvalidScheduleError,
+    Schedule,
+    _ScalarBackend,
+    _state_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -177,6 +170,7 @@ class ContentionDeltaState:
         avail_rows: list[list[float]],
         nic_rows: list[list[float]],
         span_prefix: list[float],
+        pos_of: list[int],
         producer_floor: list[int],
         makespan: float,
     ):
@@ -190,23 +184,13 @@ class ContentionDeltaState:
         self.span_prefix = span_prefix
         self.producer_floor = producer_floor
         self.makespan = makespan
-        pos_of = [0] * len(order)
-        for q, task in enumerate(order):
-            pos_of[task] = q
         self.pos_of = pos_of
 
-    def as_schedule(self) -> Schedule:
-        """The fully evaluated base schedule (no re-walk needed)."""
-        return Schedule(
-            order=tuple(self.order),
-            machine_of=tuple(self.machine_of),
-            start=tuple(self.start),
-            finish=tuple(self.finish),
-            makespan=self.makespan,
-        )
+    #: The fully evaluated base schedule, exactly as for the paper model.
+    as_schedule = DeltaState.as_schedule
 
 
-class ContentionSimulator:
+class ContentionSimulator(_ScalarBackend):
     """Schedule evaluation with per-machine outgoing-link serialisation.
 
     Full :class:`~repro.schedule.backend.SimulatorBackend`: the same
@@ -215,19 +199,7 @@ class ContentionSimulator:
     as the ``"nic"`` network model.
     """
 
-    __slots__ = (
-        "_workload",
-        "_k",
-        "_l",
-        "_p",
-        "_E",
-        "_tr",
-        "_in_edges",
-        "_out_edges",
-        "_avail0",
-        "_nic0",
-        "_cost_model",
-    )
+    __slots__ = ("_p", "_out_edges", "_nic0")
 
     def __init__(
         self,
@@ -236,19 +208,9 @@ class ContentionSimulator:
         initial_nic_free: Optional[Sequence[float]] = None,
         cost_model: Optional[CostModel] = None,
     ):
-        self._workload = workload
-        self._cost_model = cost_model
+        super().__init__(workload, initial_avail, cost_model)
         graph = workload.graph
-        self._k = graph.num_tasks
-        self._l = workload.num_machines
         self._p = graph.num_data_items
-        self._E = workload.exec_times.values.tolist()
-        self._tr = workload.transfer_times.values.tolist()
-        # Per consumer: (producer, item) pairs — the data inputs.
-        in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
-        for d in graph.data_items:
-            in_edges[d.consumer].append((d.producer, d.index))
-        self._in_edges = [tuple(es) for es in in_edges]
         # Per producer: (item, consumer) pairs in ascending item-index
         # order — the documented NIC push order, enforced here rather
         # than inherited from the graph's adjacency ordering.
@@ -259,63 +221,36 @@ class ContentionSimulator:
             )
             for t in range(self._k)
         ]
-        # Online-service support: seed the walk's machine-availability and
-        # NIC-free vectors from in-flight earlier work (default: idle at 0,
-        # bit-identical to the historical behaviour).
-        self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
+        # Online-service support: seed the walk's NIC-free vector (like
+        # the machine-availability one) from in-flight earlier work
+        # (default: idle at 0, bit-identical to the historical behaviour).
         self._nic0 = _state_vector(
             initial_nic_free, self._l, "initial_nic_free"
         )
-
-    @property
-    def workload(self) -> Workload:
-        return self._workload
 
     # ------------------------------------------------------------------
     # full evaluation
     # ------------------------------------------------------------------
 
     def evaluate(self, string: ScheduleString) -> ContentionSchedule:
-        """Full evaluation of *string* under NIC contention."""
-        order = string.order
+        """Full evaluation of *string* under NIC contention.
+
+        One :meth:`prepare` walk yields the schedule; the transfer
+        records are rebuilt from its per-position NIC snapshots by
+        replaying each task's pushes with the walk's own arithmetic.
+        """
         machine_of = string.machines
-        E = self._E
+        state = self.prepare(string.order, machine_of)
         tr = self._tr
         l = self._l
-        k = self._k
-        in_edges = self._in_edges
         out_edges = self._out_edges
-
-        start = [0.0] * k
-        finish = [-1.0] * k
-        machine_avail = self._avail0[:]
-        nic_free = self._nic0[:]
-        arrival = [0.0] * self._p
+        finish = state.finish
+        nic_rows = state.nic_rows
         transfers: list[TransferRecord] = []
-        span = 0.0
-
-        for task in order:
+        for q, task in enumerate(state.order):
             m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                if finish[prod] < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                pm = machine_of[prod]
-                t_arr = finish[prod] if pm == m else arrival[item]
-                if t_arr > ready:
-                    ready = t_arr
-            fin = ready + E[m][task]
-            start[task] = ready
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-
-            # eager push: send every cross-machine output item, in item
-            # order, serialised on this machine's NIC
-            nf = nic_free[m]
+            fin = finish[task]
+            nf = nic_rows[q][m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
@@ -326,7 +261,6 @@ class ContentionSimulator:
                     row = m * l - m * (m + 1) // 2 + (dst - m - 1)
                 t_start = fin if fin > nf else nf
                 nf = t_start + tr[row][item]
-                arrival[item] = nf
                 transfers.append(
                     TransferRecord(
                         item=item,
@@ -338,17 +272,8 @@ class ContentionSimulator:
                         finish=nf,
                     )
                 )
-            nic_free[m] = nf
-
         return ContentionSchedule(
-            schedule=Schedule(
-                order=tuple(order),
-                machine_of=tuple(machine_of),
-                start=tuple(start),
-                finish=tuple(finish),
-                makespan=span,
-            ),
-            transfers=tuple(transfers),
+            schedule=state.as_schedule(), transfers=tuple(transfers)
         )
 
     def makespan(
@@ -403,38 +328,6 @@ class ContentionSimulator:
                 arrival[item] = nf
             nic_free[m] = nf
         return span
-
-    def string_makespan(self, string: ScheduleString) -> float:
-        """Makespan of a :class:`ScheduleString` (thin convenience)."""
-        return self.makespan(string.order, string.machines)
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table, or ``None`` on the uniform
-        platform (``score`` then reports cost 0.0)."""
-        return self._cost_model
-
-    def score(
-        self, order: Sequence[int], machine_of: Sequence[int]
-    ) -> ScheduleScore:
-        """The schedule's ``(makespan, cost, busy)`` triple under NIC
-        contention.  Cost billing is per-task busy time, so it is the
-        same arithmetic as the contention-free model — only the
-        makespan component changes with the network."""
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self._workload.exec_times.values
-            )
-        return cm.score(machine_of, self.makespan(order, machine_of))
-
-    def string_score(self, string: ScheduleString) -> ScheduleScore:
-        """:meth:`score` of an encoded :class:`ScheduleString`."""
-        return self.score(string.order, string.machines)
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        """Per-subtask finish times under contention — SE's ``Ci``."""
-        return list(self.evaluate(string).finish)
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -521,13 +414,10 @@ class ContentionSimulator:
             avail_rows=avail_rows,
             nic_rows=nic_rows,
             span_prefix=span_prefix,
+            pos_of=pos_of,
             producer_floor=producer_floor,
             makespan=span,
         )
-
-    def prepare_string(self, string: ScheduleString) -> ContentionDeltaState:
-        """:meth:`prepare` for a :class:`ScheduleString` (thin convenience)."""
-        return self.prepare(string.order, string.machines)
 
     def evaluate_delta(
         self,

@@ -372,12 +372,14 @@ class EvaluationService:
         if hasattr(self._backend, "batch_makespans"):
             costs = self._backend.batch_makespans(
                 orders, machines, validate=validate
-            ).tolist()
+            )
         else:  # prefer_batch=False: plain scalar backend
-            costs = [
-                self._backend.makespan(list(o), list(m))
-                for o, m in zip(orders, machines)
-            ]
+            from repro.schedule.vectorized import SequentialBatchKernel
+
+            costs = SequentialBatchKernel(self._backend).makespans(
+                orders, machines, validate=validate
+            )
+        costs = costs.tolist()
         self._calls += len(costs)
         return costs
 

@@ -494,9 +494,6 @@ class ObjectiveBackend:
             return str(tier)
         return "vectorized" if self.is_vectorized else "sequential"
 
-    def finish_times(self, string) -> list[float]:
-        return self._inner.finish_times(string)
-
     def evaluate(self, string) -> Any:
         result = self._inner.evaluate(string)
         self._offer(result.makespan, self._cm.cost(string.machines), string)

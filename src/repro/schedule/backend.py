@@ -84,8 +84,7 @@ class SimulatorBackend(Protocol):
       sharing a prefix with the base can be re-scored suffix-only, with
       ``cutoff`` branch-and-bound pruning.  ``evaluate_delta`` results
       must be **bit-identical** to a full ``makespan`` call on the same
-      string (property-tested for both built-in backends);
-    * ``finish_times`` — per-subtask finish times (SE's ``Ci`` input).
+      string (property-tested for both built-in backends).
 
     The delta state is backend-specific; callers treat it as opaque
     apart from ``makespan`` / ``pos_of`` / ``as_schedule()``.
@@ -115,8 +114,6 @@ class SimulatorBackend(Protocol):
         cutoff: float = float("inf"),
         region_end: Optional[int] = None,
     ) -> float: ...
-
-    def finish_times(self, string: ScheduleString) -> list[float]: ...
 
 
 #: A backend factory: workload -> backend instance.
@@ -449,13 +446,12 @@ def make_simulator(
     if not spec.is_uniform:
         from repro.schedule.scoring import CostModel
 
-        bound = spec.bind(workload.num_machines)
-        workload = bound.apply(workload)
-        cost_model = CostModel(workload.exec_times.values, bound.prices)
-        if bound.has_boot:
-            initial_avail = bound.combine_avail(initial_avail)
-            if key == NIC_NETWORK or initial_nic_free is not None:
-                initial_nic_free = bound.combine_avail(initial_nic_free)
+        workload, initial_avail, initial_nic_free = platform_state(
+            workload, spec, key, initial_avail, initial_nic_free
+        )
+        cost_model = CostModel(
+            workload.exec_times.values, spec.bind(workload.num_machines).prices
+        )
     kwargs: Dict[str, Any] = {}
     if initial_avail is not None:
         kwargs["initial_avail"] = initial_avail

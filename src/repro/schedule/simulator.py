@@ -165,20 +165,28 @@ class DeltaState:
         )
 
 
-class Simulator:
-    """Reusable evaluation context for one :class:`Workload`.
+def _state_vector(
+    values: Optional[Sequence[float]], l: int, label: str
+) -> list[float]:
+    """Normalise an optional per-machine time vector (default all zero)."""
+    if values is None:
+        return [0.0] * l
+    if len(values) != l:
+        raise ValueError(
+            f"{label} has {len(values)} entries for {l} machines"
+        )
+    return [float(v) for v in values]
 
-    Build once per workload, then call :meth:`makespan` /
-    :meth:`evaluate` as often as needed.  For move-probe loops, call
-    :meth:`prepare` once per base string and :meth:`evaluate_delta` per
-    probe.
 
-    ``initial_avail`` seeds the per-machine availability vector the walk
-    starts from (default: all machines idle at 0).  The online scheduling
-    service uses this to evaluate a job's schedule against machines that
-    are still busy with earlier jobs; all reported start/finish times are
-    then absolute service times, and with an all-zero vector every float
-    operation is identical to the historical idle-machine walk.
+class _ScalarBackend:
+    """What the scalar backends share around their walks.
+
+    The workload tables every walk reads (``_E``, ``_tr``, the per-
+    consumer ``_in_edges``, the initial availability ``_avail0``) and
+    the tiers built on a backend's ``makespan``: string convenience and
+    the ``(makespan, cost, busy)`` score.  Cost billing is per-task busy
+    time, the same arithmetic under every network model — only the
+    makespan component differs.
     """
 
     __slots__ = (
@@ -196,7 +204,7 @@ class Simulator:
         self,
         workload: Workload,
         initial_avail: Optional[Sequence[float]] = None,
-        cost_model: Optional["CostModel"] = None,
+        cost_model: Optional[CostModel] = None,
     ):
         self._workload = workload
         self._cost_model = cost_model
@@ -205,15 +213,7 @@ class Simulator:
         self._l = workload.num_machines
         self._E = workload.exec_times.values.tolist()
         self._tr = workload.transfer_times.values.tolist()
-        if initial_avail is None:
-            self._avail0 = [0.0] * self._l
-        else:
-            if len(initial_avail) != self._l:
-                raise ValueError(
-                    f"initial_avail has {len(initial_avail)} entries for "
-                    f"{self._l} machines"
-                )
-            self._avail0 = [float(a) for a in initial_avail]
+        self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
         # Per consumer: tuple of (producer, item) pairs, the data inputs.
         in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
         for d in graph.data_items:
@@ -223,6 +223,55 @@ class Simulator:
     @property
     def workload(self) -> Workload:
         return self._workload
+
+    def string_makespan(self, string: ScheduleString) -> float:
+        """Makespan of a :class:`ScheduleString` (thin convenience)."""
+        return self.makespan(string.order, string.machines)
+
+    @property
+    def cost_model(self) -> Optional[CostModel]:
+        """The platform billing table, or ``None`` on the uniform
+        platform (``score`` then reports cost 0.0)."""
+        return self._cost_model
+
+    def score(
+        self, order: Sequence[int], machine_of: Sequence[int]
+    ) -> ScheduleScore:
+        """The schedule's ``(makespan, cost, busy)`` triple.
+
+        One :meth:`makespan` walk plus the cost model's per-task
+        billing; without an attached cost model the zero model applies
+        (cost 0.0, busy times still real).
+        """
+        cm = self._cost_model
+        if cm is None:
+            cm = self._cost_model = CostModel.zero(
+                self._workload.exec_times.values
+            )
+        return cm.score(machine_of, self.makespan(order, machine_of))
+
+    def string_score(self, string: ScheduleString) -> ScheduleScore:
+        """:meth:`score` of an encoded :class:`ScheduleString`."""
+        return self.score(string.order, string.machines)
+
+
+class Simulator(_ScalarBackend):
+    """Reusable evaluation context for one :class:`Workload`.
+
+    Build once per workload, then call :meth:`makespan` /
+    :meth:`evaluate` as often as needed.  For move-probe loops, call
+    :meth:`prepare` once per base string and :meth:`evaluate_delta` per
+    probe.
+
+    ``initial_avail`` seeds the per-machine availability vector the walk
+    starts from (default: all machines idle at 0).  The online scheduling
+    service uses this to evaluate a job's schedule against machines that
+    are still busy with earlier jobs; all reported start/finish times are
+    then absolute service times, and with an all-zero vector every float
+    operation is identical to the historical idle-machine walk.
+    """
+
+    __slots__ = ()
 
     # ------------------------------------------------------------------
     # hot path
@@ -272,81 +321,12 @@ class Simulator:
         return span
 
     def evaluate(self, string: ScheduleString) -> Schedule:
-        """Full evaluation of *string* with per-task start/finish times."""
-        order = string.order
-        machine_of = string.machines
-        E = self._E
-        tr = self._tr
-        in_edges = self._in_edges
-        l = self._l
-        k = self._k
-        start = [0.0] * k
-        finish = [-1.0] * k
-        machine_avail = self._avail0[:]
-        span = 0.0
+        """Full evaluation of *string* with per-task start/finish times.
 
-        for task in order:
-            m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                pf = finish[prod]
-                if pf < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                pm = machine_of[prod]
-                if pm != m:
-                    if pm < m:
-                        row = pm * l - pm * (pm + 1) // 2 + (m - pm - 1)
-                    else:
-                        row = m * l - m * (m + 1) // 2 + (pm - m - 1)
-                    pf += tr[row][item]
-                if pf > ready:
-                    ready = pf
-            start[task] = ready
-            fin = ready + E[m][task]
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-
-        return Schedule(
-            order=tuple(order),
-            machine_of=tuple(machine_of),
-            start=tuple(start),
-            finish=tuple(finish),
-            makespan=span,
-        )
-
-    # ------------------------------------------------------------------
-    # multi-metric tier
-    # ------------------------------------------------------------------
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table, or ``None`` on the uniform
-        platform (``score`` then reports cost 0.0)."""
-        return self._cost_model
-
-    def score(
-        self, order: Sequence[int], machine_of: Sequence[int]
-    ) -> ScheduleScore:
-        """The schedule's ``(makespan, cost, busy)`` triple.
-
-        One :meth:`makespan` walk plus the cost model's per-task
-        billing; without an attached cost model the zero model applies
-        (cost 0.0, busy times still real).
+        One :meth:`prepare` walk: its snapshot already holds the
+        schedule, so there is no separate full-evaluation loop.
         """
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self._workload.exec_times.values
-            )
-        return cm.score(machine_of, self.makespan(order, machine_of))
-
-    def string_score(self, string: ScheduleString) -> ScheduleScore:
-        """:meth:`score` of an encoded :class:`ScheduleString`."""
-        return self.score(string.order, string.machines)
+        return self.prepare(string.order, string.machines).as_schedule()
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -429,10 +409,6 @@ class Simulator:
             last_consumer_pos=last_consumer_pos,
             makespan=span,
         )
-
-    def prepare_string(self, string: ScheduleString) -> DeltaState:
-        """:meth:`prepare` for a :class:`ScheduleString` (thin convenience)."""
-        return self.prepare(string.order, string.machines)
 
     def evaluate_delta(
         self,
@@ -558,14 +534,6 @@ class Simulator:
                 if bound > frontier:
                     frontier = bound
         return span
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        """Per-subtask finish times — SE's ``Ci`` values (paper §4.3)."""
-        return list(self.evaluate(string).finish)
-
-    def string_makespan(self, string: ScheduleString) -> float:
-        """Makespan of a :class:`ScheduleString` (thin convenience)."""
-        return self.makespan(string.order, string.machines)
 
 
 def evaluate_schedule(workload: Workload, string: ScheduleString) -> Schedule:

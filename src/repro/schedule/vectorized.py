@@ -82,6 +82,23 @@ def _as_index_matrix(rows: Any, k: int, name: str) -> np.ndarray:
     return arr
 
 
+def _as_batch(orders: Any, machines: Any, k: int) -> tuple:
+    """*orders* / *machines* as ``(B, k)`` index matrices of equal height."""
+    orders = _as_index_matrix(orders, k, "orders")
+    machines = _as_index_matrix(machines, k, "machines")
+    if machines.shape[0] != orders.shape[0]:
+        raise ValueError(
+            f"orders has {orders.shape[0]} rows but machines has {machines.shape[0]}"
+        )
+    return orders, machines
+
+
+def _check_machine_range(machines: np.ndarray, l: int) -> None:
+    """Raise unless every machine id of the batch is in ``[0, l)``."""
+    if machines.size and (machines.min() < 0 or machines.max() >= l):
+        raise ValueError(f"batch contains machine ids outside [0, {l})")
+
+
 class WorkloadPack:
     """Per-workload tensors shared by the batch kernels.
 
@@ -278,12 +295,7 @@ class WorkloadPack:
                 "batch contains an order that is not a permutation of "
                 f"0..{k - 1}"
             )
-        if machines.size and (
-            machines.min() < 0 or machines.max() >= self.l
-        ):
-            raise ValueError(
-                f"batch contains machine ids outside [0, {self.l})"
-            )
+        _check_machine_range(machines, self.l)
         if self.edge_prod.size:
             pos = np.empty_like(orders)
             np.put_along_axis(
@@ -541,14 +553,7 @@ class BatchKernel:
         the kernel's scalar backend over the rows (each kernel's class
         docstring names its backend; both are property-tested).
         """
-        k = self._k
-        orders = _as_index_matrix(orders, k, "orders")
-        machines = _as_index_matrix(machines, k, "machines")
-        if machines.shape[0] != orders.shape[0]:
-            raise ValueError(
-                f"orders has {orders.shape[0]} rows but machines has "
-                f"{machines.shape[0]}"
-            )
+        orders, machines = _as_batch(orders, machines, self._k)
         B = orders.shape[0]
         if B == 0:
             return np.empty(0, dtype=float)
@@ -584,9 +589,7 @@ class BatchKernel:
         per-task billing table (see :meth:`CostModel.batch_costs`) —
         no per-schedule Python loop on either column.
         """
-        k = self._k
-        orders = _as_index_matrix(orders, k, "orders")
-        machines = _as_index_matrix(machines, k, "machines")
+        orders, machines = _as_batch(orders, machines, self._k)
         spans = self.makespans(orders, machines, validate=validate)
         cm = self._cost_model
         if cm is None:
@@ -753,10 +756,11 @@ class BatchSimulator(BatchKernel):
 class SequentialBatchKernel:
     """Scalar fallback: a batch API looping over any scalar backend.
 
-    Used when a network model (e.g. ``"nic"``) has no vectorized kernel
-    registered, so batch-aware callers can stay on one code path.  The
-    scalar backend performs its own precedence checks, hence *validate*
-    is accepted for signature parity but has no extra work to do.
+    Used when a network model has no vectorized kernel registered, or
+    the backend carries initial machine state, so batch-aware callers
+    can stay on one code path.  Batch shapes are checked as in
+    :class:`BatchKernel`, and machine ranges under *validate*; the
+    scalar backend performs its own precedence checks.
     """
 
     is_vectorized = False
@@ -772,14 +776,21 @@ class SequentialBatchKernel:
     def workload(self) -> Workload:
         return self._backend.workload
 
+    def _rows(self, orders: Any, machines: Any, validate: bool) -> tuple:
+        """The checked batch as per-row Python lists."""
+        w = self._backend.workload
+        orders, machines = _as_batch(orders, machines, w.num_tasks)
+        if validate:
+            _check_machine_range(machines, w.num_machines)
+        return orders.tolist(), machines.tolist()
+
     def makespans(
         self, orders: Any, machines: Any, validate: bool = True
     ) -> np.ndarray:
-        out = [
-            self._backend.makespan(list(o), list(m))
-            for o, m in zip(orders, machines)
-        ]
-        return np.array(out, dtype=float)
+        makespan = self._backend.makespan
+        orders, machines = self._rows(orders, machines, validate)
+        spans = [makespan(o, m) for o, m in zip(orders, machines)]
+        return np.array(spans, dtype=float)
 
     def string_makespans(
         self, strings: Sequence[ScheduleString], validate: bool = True
@@ -798,9 +809,8 @@ class SequentialBatchKernel:
         if score is None:
             spans = self.makespans(orders, machines, validate=validate)
             return BatchScores(spans, np.zeros(len(spans)))
-        triples = [
-            score(list(o), list(m)) for o, m in zip(orders, machines)
-        ]
+        orders, machines = self._rows(orders, machines, validate)
+        triples = [score(o, m) for o, m in zip(orders, machines)]
         return BatchScores(
             np.array([s.makespan for s in triples], dtype=float),
             np.array([s.cost for s in triples], dtype=float),
@@ -836,9 +846,7 @@ class BatchBackend:
         "string_makespan",
         "evaluate",
         "prepare",
-        "prepare_string",
         "evaluate_delta",
-        "finish_times",
         "score",
         "string_score",
     )

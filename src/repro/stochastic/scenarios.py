@@ -21,8 +21,8 @@ Two classes:
   :class:`~repro.optim.evaluation.EvaluationService` installs for
   scenario objectives: every scalar an engine compares (``makespan``,
   delta scalars, batch columns) is the *reduced risk statistic*, while
-  ``evaluate`` / ``finish_times`` still report the nominal schedule
-  (result assembly and SE's goodness phase run on nominal durations).
+  ``evaluate`` still reports the nominal schedule (result assembly and
+  SE's goodness phase run on nominal durations).
   The incremental tier is exact but unaccelerated: ``evaluate_delta``
   re-scores the full string over all scenarios and ignores the cutoff
   (a risk statistic has no per-position lower bound to prune on).
@@ -217,10 +217,10 @@ class ScenarioBackend:
     :class:`~repro.optim.evaluation.EvaluationService` when a scenario
     objective is configured, never by engines directly.  Engines
     compare scalars; here each scalar is ``objective.reduce`` over the
-    schedule's scenario makespans.  ``evaluate`` / ``finish_times`` /
-    the decoded schedules stay *nominal* — reported makespans in
-    result assembly are real nominal makespans, and SE's goodness
-    phase ranks subtasks by nominal finish times.
+    schedule's scenario makespans.  ``evaluate`` and the decoded
+    schedules stay *nominal* — reported makespans in result assembly
+    are real nominal makespans, and SE's goodness phase ranks subtasks
+    by nominal finish times.
     """
 
     def __init__(
@@ -265,9 +265,6 @@ class ScenarioBackend:
     def evaluate(self, string: ScheduleString) -> Any:
         """The nominal backend's full result (real schedule/makespan)."""
         return self._nominal.evaluate(string)
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        return self._nominal.finish_times(string)
 
     # ------------------------------------------------------------------
     # reduced (risk) scoring

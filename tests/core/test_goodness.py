@@ -69,7 +69,7 @@ class TestGoodnessValues:
             s = random_valid_string(
                 tiny_workload.graph, tiny_workload.num_machines, seed
             )
-            g = goodness_values(o, sim.finish_times(s))
+            g = goodness_values(o, sim.evaluate(s).finish)
             assert np.all(g >= 0.0)
             assert np.all(g <= 1.0)
 
@@ -117,7 +117,7 @@ class TestGoodnessEvaluator:
         ev = GoodnessEvaluator(tiny_workload)
         sim = Simulator(tiny_workload)
         s = random_valid_string(tiny_workload.graph, tiny_workload.num_machines, 3)
-        fts = sim.finish_times(s)
+        fts = sim.evaluate(s).finish
         assert np.array_equal(
             ev.goodness(fts), goodness_values(ev.optimal, fts)
         )

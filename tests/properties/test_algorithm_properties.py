@@ -58,7 +58,7 @@ def test_goodness_in_unit_interval_everywhere(w):
     sim = Simulator(w)
     for seed in range(3):
         s = random_valid_string(w.graph, w.num_machines, seed)
-        g = ev.goodness(sim.finish_times(s))
+        g = ev.goodness(sim.evaluate(s).finish)
         assert np.all((0.0 <= g) & (g <= 1.0))
 
 

@@ -54,9 +54,7 @@ class TestRegistry:
                 "string_makespan",
                 "evaluate",
                 "prepare",
-                "prepare_string",
                 "evaluate_delta",
-                "finish_times",
             ):
                 assert callable(getattr(sim, method)), (name, method)
             assert sim.workload is workload

@@ -139,7 +139,7 @@ class TestAPIs:
 
         s = ScheduleString.from_pairs(FIGURE2_PAIRS, 2)
         sim = Simulator(sample_workload)
-        fts = sim.finish_times(s)
+        fts = sim.evaluate(s).finish
         assert len(fts) == 7
         assert max(fts) == sim.evaluate(s).makespan
 

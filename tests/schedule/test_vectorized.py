@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.allocation import Allocator
 from repro.extensions.contention import ContentionSimulator
 from repro.model import (
     ExecutionTimeMatrix,
@@ -20,6 +19,7 @@ from repro.model import (
     TransferTimeMatrix,
     Workload,
 )
+from repro.optim.evaluation import EvaluationService
 from repro.schedule import (
     BatchBackend,
     BatchSimulator,
@@ -129,10 +129,34 @@ class TestBatchValidation:
     def test_validate_false_skips_checks(self):
         kern = BatchSimulator(diamond_workload())
         # invalid order scores garbage instead of raising — caller's
-        # explicit responsibility, exercised by the SE allocator which
-        # only builds provably valid relocations
+        # explicit responsibility, taken by tabu and random search,
+        # which only score provably valid strings
         out = kern.makespans([[1, 0, 2, 3]], [[0, 0, 0, 0]], validate=False)
         assert out.shape == (1,)
+
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    @pytest.mark.parametrize("path", ["vectorized", "sequential", "service"])
+    def test_every_batch_path_checks_its_input(self, path, network):
+        w = diamond_workload()
+        if path == "service":
+            # the kernel-less loop of a prefer_batch=False service
+            score = EvaluationService(
+                w, network, prefer_batch=False
+            ).batch_makespans
+        else:
+            # initial machine state routes through the sequential kernel
+            busy = [0.0, 0.0, 0.0] if path == "sequential" else None
+            sim = make_simulator(w, network, batch=True, initial_avail=busy)
+            assert sim.is_vectorized == (path == "vectorized")
+            score = sim.batch_makespans
+        order = [0, 1, 2, 3]
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="machine ids"):
+                score([order], [[0, 0, 0, bad]])
+        with pytest.raises(ValueError, match="rows"):
+            score([order] * 3, [[0, 0, 0, 0]] * 2)
+        want = make_simulator(w, network).makespan(order, [0, 1, 2, 0])
+        assert list(score([order], [[0, 1, 2, 0]])) == [want]
 
 
 class TestBatchBackendPlumbing:
@@ -197,7 +221,7 @@ class TestBatchBackendPlumbing:
             sim.evaluate_delta(s.order, s.machines, 0, state)
             == state.makespan
         )
-        assert sim.finish_times(s) == plain.finish_times(s)
+        assert sim.evaluate(s) == plain.evaluate(s)
         assert "vectorized" in repr(sim)
 
     def test_batch_makespans_matches_scalar(self):
@@ -210,13 +234,6 @@ class TestBatchBackendPlumbing:
     def test_register_batch_network_rejects_duplicates(self):
         with pytest.raises(ValueError, match="already registered"):
             register_batch_network("contention-free")(BatchSimulator)
-
-    def test_allocator_batch_requires_capable_backend(self):
-        w = diamond_workload()
-        with pytest.raises(ValueError, match="batch-capable"):
-            Allocator(w, Simulator(w), y_candidates=2, probes="batch")
-        with pytest.raises(ValueError, match="probe strategy"):
-            Allocator(w, Simulator(w), y_candidates=2, probes="bogus")
 
     def test_kernel_properties(self):
         w = diamond_workload()
@@ -241,14 +258,6 @@ class TestBatchBackendPlumbing:
 
 
 class TestConfigValidation:
-    def test_se_probe_evaluation_validated(self):
-        from repro.core import SEConfig
-
-        assert SEConfig().probe_evaluation == "delta"
-        assert SEConfig(probe_evaluation="batch").probe_evaluation == "batch"
-        with pytest.raises(ValueError, match="probe_evaluation"):
-            SEConfig(probe_evaluation="vector")
-
     def test_ga_batch_fitness_default_on(self):
         from repro.baselines import GAConfig
 
