@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation integrity checker (the CI ``docs`` job).
 
-Two classes of rot this catches:
+Four classes of rot this catches:
 
 1. **Dead intra-repo links** — every relative markdown link or image in
    the checked documents must point at a file (or ``file#anchor``) that
@@ -20,6 +20,12 @@ Two classes of rot this catches:
    ``SEConfig(...)``, ``GAConfig(...)``, ``SAConfig(...)`` or
    ``TabuConfig(...)`` mention must name a real field of that
    dataclass, so a removed or renamed option cannot linger in the docs.
+
+4. **Stale module paths** — every inline-code span that is a dotted
+   ``repro.`` path (optionally followed by a call, as in
+   ``repro.schedule.jit.warmup()``) must import and resolve attribute
+   by attribute, so a moved or deleted module, class or function
+   cannot linger in the docs either.
 
 Run from the repo root (CI does):  ``python scripts/check_docs.py``.
 Exits non-zero listing every violation.  ``--self-test`` runs the
@@ -48,6 +54,7 @@ _FENCE = re.compile(r"```(?:\w*)\n(.*?)```", re.DOTALL)
 _INLINE = re.compile(r"`(repro [^`]+)`")
 _CONFIG_CALL = re.compile(r"\b(SEConfig|GAConfig|SAConfig|TabuConfig)\(([^)]*)")
 _KEYWORD = re.compile(r"\b(\w+)=(?!=)")
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +208,39 @@ def check_config_keywords(doc: Path, text: str, fields) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# module paths
+# ----------------------------------------------------------------------
+
+
+def _resolves(path: str) -> bool:
+    """Whether dotted *path* names something real: each part must be an
+    attribute of the previous object or, below a package, a submodule."""
+    import importlib
+
+    obj = importlib.import_module("repro")
+    name = "repro"
+    for part in path.split(".")[1:]:
+        name = f"{name}.{part}"
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(name)
+        except ImportError:
+            return False
+    return True
+
+
+def check_module_paths(doc: Path, text: str) -> list[str]:
+    """Dotted ``repro.`` paths in inline code that do not resolve."""
+    return [
+        f"{doc.relative_to(REPO)}: `{path}` does not resolve"
+        for path in _DOTTED.findall(text)
+        if not _resolves(path)
+    ]
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
@@ -218,6 +258,7 @@ def run(documents=DOCUMENTS) -> list[str]:
         errors += check_links(doc, text)
         errors += check_cli_references(doc, text, surface)
         errors += check_config_keywords(doc, text, fields)
+        errors += check_module_paths(doc, text)
     return errors
 
 
@@ -247,6 +288,15 @@ def self_test() -> None:
     wrapped = "SAConfig(\n...     seed=1,\n...     bogus_knob=2)"
     assert check_config_keywords(doc, wrapped, fields)
     assert not check_config_keywords(doc, "TabuConfig(tenure=7)", fields)
+    # dotted repro. paths must resolve: submodules, attributes, calls
+    assert not check_module_paths(doc, "`repro.analysis.grid.run_grid`")
+    assert not check_module_paths(doc, "`repro.schedule.jit.warmup()`")
+    assert not check_module_paths(doc, "`repro.workloads.figure5_workload(seed=1)`")
+    assert check_module_paths(doc, "`repro.schedule.no_such_module`")
+    assert check_module_paths(doc, "`repro.optim.SAConfig.no_such_field`")
+    assert check_module_paths(doc, "`repro.schedule.backend.register_network`")
+    # `repro <subcommand>` spans are the CLI check's business, not this one's
+    assert not check_module_paths(doc, "`repro run --seed 1`")
 
 
 def main(argv) -> int:

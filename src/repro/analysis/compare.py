@@ -223,7 +223,7 @@ def compare_named(
     rngs = spawn_rngs(seed, len(names))
     configs = configs or {}
     # every engine routes batch scoring through its evaluation service,
-    # so a network with a registered batch kernel accelerates here too
+    # so every network's batch kernel accelerates here too
     runners = {}
     for name, rng in zip(names, rngs):
         entry = ENGINES[name]
@@ -288,8 +288,7 @@ def head_to_head_experiment(
         whose registry declaration does not accept a ``network``
         parameter are left untouched).  The engines' evaluation
         services route batch scoring through the network's vectorized
-        kernel where one is registered, so ``network="nic"`` stays
-        accelerated.
+        kernel, so ``network="nic"`` stays accelerated.
     """
     from repro.runner import (
         AlgorithmSpec,

@@ -132,9 +132,6 @@ class IncrementalScheduleBuilder:
         self._machine_of: list[int | None] = [None] * workload.num_tasks
         self._order: list[int] = []
         # NIC-free reservation per machine; only consulted under "nic"
-        # (a custom registered network gets contention-free estimates
-        # for its greedy decisions — we cannot guess its semantics —
-        # but is still measured through its real backend in to_result).
         self._nic_aware = self._network == NIC_NETWORK
         if self._initial_nic_free is None:
             self._nic_free = [0.0] * workload.num_machines

@@ -56,10 +56,9 @@ class GAConfig:
         ``tests/baselines/test_ga.py``.
     batch_fitness:
         Score each generation's unevaluated chromosomes in one
-        vectorized sweep through the network's batch kernel
-        (:class:`~repro.schedule.vectorized.BatchSimulator`) when the
-        backend has one registered; networks without a kernel (e.g.
-        ``"nic"``) silently keep the scalar/incremental path.  Costs are
+        vectorized sweep through the network's batch kernel (e.g.
+        :class:`~repro.schedule.vectorized.BatchSimulator`); off, the
+        scalar/incremental path runs instead.  Costs are
         bit-identical to the scalar loop, so results, traces and final
         strings do not change — only wall-clock time and, versus the
         incremental path, the ``evaluations`` accounting (the batch

@@ -379,16 +379,13 @@ def _batch_mode(network: str) -> str:
     """Human-readable batch-evaluation mode (active kernel tier)."""
     from repro.schedule.backend import kernel_tier
 
-    tier = kernel_tier(network)
-    if tier == "jit":
+    if kernel_tier(network) == "jit":
         return "jit kernel (numba-compiled)"
-    if tier == "vectorized":
-        return "vectorized kernel"
-    return "sequential scalar fallback"
+    return "vectorized kernel"
 
 
 def _platforms_listing() -> str:
-    """Every registered platform with its cost-scoring path.
+    """Every platform catalog with its cost-scoring path.
 
     A platform with boot delays carries per-machine initial state, which
     routes batch scoring through the sequential scalar fallback; the
@@ -411,12 +408,8 @@ def _platforms_listing() -> str:
 
 
 def _networks_listing() -> str:
-    """Every network model with its batch-evaluation mode.
-
-    A network without a vectorized kernel still accepts batch scoring —
-    it just loops the scalar simulator; listing the mode here keeps
-    that fallback visible instead of silent.
-    """
+    """Every network model with its batch-evaluation mode (the kernel
+    tier selected now, so a numba-less install shows it runs NumPy)."""
     from repro.schedule.backend import available_networks
 
     return "\n".join(

@@ -82,8 +82,7 @@ class SEConfig:
         beyond the paper): ``"contention-free"`` (paper model, default)
         or ``"nic"`` (one outgoing link per machine; see
         :mod:`repro.extensions.contention`).  Resolved through
-        :func:`repro.schedule.backend.make_simulator`, so downstream
-        models registered with ``register_network`` work too.
+        :func:`repro.schedule.backend.make_simulator`.
     platform:
         Platform (machine catalog) name the run is costed against; the
         default ``"uniform"`` reproduces the historical behaviour bit

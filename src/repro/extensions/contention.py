@@ -24,7 +24,7 @@ Full backend parity
 -------------------
 
 ``ContentionSimulator`` implements the whole
-:class:`~repro.schedule.backend.SimulatorBackend` protocol, registered
+:class:`~repro.schedule.backend.SimulatorBackend` protocol, listed
 under the network name ``"nic"`` — so SE, the GA and the baselines can
 *optimise under* contention, not merely measure it after the fact.  The
 incremental tier mirrors :meth:`repro.schedule.simulator.Simulator.
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_network
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel
 from repro.schedule.simulator import (
@@ -195,8 +194,8 @@ class ContentionSimulator(_ScalarBackend):
 
     Full :class:`~repro.schedule.backend.SimulatorBackend`: the same
     ``makespan`` / ``evaluate`` / ``prepare`` / ``evaluate_delta``
-    surface as :class:`repro.schedule.simulator.Simulator`, registered
-    as the ``"nic"`` network model.
+    surface as :class:`repro.schedule.simulator.Simulator`; the scalar
+    backend of the ``"nic"`` network model.
     """
 
     __slots__ = ("_p", "_out_edges", "_nic0")
@@ -524,9 +523,6 @@ class ContentionSimulator(_ScalarBackend):
                 arrival[item] = nf
             nic_free[m] = nf
         return span
-
-
-register_network("nic")(ContentionSimulator)
 
 
 def contention_penalty(workload: Workload, string: ScheduleString) -> float:

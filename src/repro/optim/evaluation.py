@@ -10,8 +10,9 @@ Before this module every engine hand-wired the scoring stack itself —
   batch wrapper when ``prefer_batch`` is set), so single, delta and
   batch scoring share one backend instance;
 * **transparent routing** — :meth:`batch_makespans` /
-  :meth:`batch_string_makespans` run the network's vectorized kernel
-  when one is registered and a sequential scalar loop otherwise;
+  :meth:`batch_string_makespans` run the network's vectorized kernel,
+  or a sequential scalar loop under ``prefer_batch=False`` or initial
+  machine state;
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
   engines never touch ``BatchBackend`` or kernel classes directly;
 * **cost accounting** — every scoring call increments one
@@ -21,7 +22,7 @@ Before this module every engine hand-wired the scoring stack itself —
 
 >>> from repro.workloads import small_workload
 >>> svc = EvaluationService(small_workload(seed=1))
->>> svc.is_vectorized  # the contention-free model ships a batch kernel
+>>> svc.is_vectorized  # every network ships a batch kernel
 True
 >>> svc.evaluations
 0
@@ -43,6 +44,7 @@ from repro.schedule.backend import (
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.simulator import Schedule
+from repro.schedule.vectorized import BatchBackend, SequentialBatchKernel
 
 
 class EvaluationService:
@@ -56,7 +58,9 @@ class EvaluationService:
         Simulator-backend name (see :mod:`repro.schedule.backend`).
     prefer_batch:
         When False the batch methods still *work* but loop the scalar
-        backend, and :attr:`is_vectorized` reports False — engines with
+        backend (wrapped once, here, in a
+        :class:`~repro.schedule.vectorized.SequentialBatchKernel`), and
+        :attr:`is_vectorized` reports False — engines with
         a user-facing batch switch (``GAConfig.batch_fitness``) map it
         here, so turning the switch off really disables the kernel
         (including its packing cost) rather than merely hiding it.
@@ -138,15 +142,19 @@ class EvaluationService:
             initial_nic_free=initial_nic_free,
             platform=platform,
         )
+        if not prefer_batch:
+            self._raw = BatchBackend(
+                self._raw, SequentialBatchKernel(self._raw)
+            )
         from repro.stochastic.distributions import validate_scenario_settings
 
         self._objective, dist_spec = validate_scenario_settings(
             objective, scenarios, distribution
         )
         self._pareto = pareto
-        self._cost_model = getattr(self._raw, "cost_model", None)
+        self._cost_model = self._raw.cost_model
         self._scenario = None
-        if getattr(self._objective, "is_scenario", False):
+        if self._objective.is_scenario:
             if pareto is not None:
                 raise ValueError(
                     "Pareto tracking is not supported with scenario "
@@ -252,23 +260,20 @@ class EvaluationService:
         return self._backend
 
     @property
-    def is_vectorized(self) -> bool:
-        """True when batch calls run a genuinely vectorized kernel."""
-        return bool(getattr(self._backend, "is_vectorized", False))
-
-    @property
     def kernel_tier(self) -> str:
         """The active batch-kernel tier: ``jit``/``vectorized``/``sequential``.
 
         ``jit`` means batch calls run the compiled (numba) kernels of
         :mod:`repro.schedule.jit`; ``vectorized`` the NumPy kernels;
-        ``sequential`` the scalar fallback loop (no kernel registered,
-        ``prefer_batch=False``, or a busy-state backend).
+        ``sequential`` the scalar loop (``prefer_batch=False``, or a
+        busy-state backend).
         """
-        tier = getattr(self._backend, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
+        return self._backend.kernel_tier
+
+    @property
+    def is_vectorized(self) -> bool:
+        """True when batch calls run a vectorized or compiled kernel."""
+        return self.kernel_tier != "sequential"
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -317,15 +322,7 @@ class EvaluationService:
         """The ``(makespan, cost, busy)`` score of *string* — **not**
         counted, like :meth:`schedule_of`; real makespan, real dollars,
         whatever the objective."""
-        string_score = getattr(self._raw, "string_score", None)
-        if string_score is not None:
-            return string_score(string)
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self.effective_workload.exec_times.values
-            )
-        return cm.score(string.machines, self._raw.string_makespan(string))
+        return self._raw.string_score(string)
 
     def scalarize(self, makespan: float, cost: float) -> float:
         """The configured objective's scalar for one scored point."""
@@ -366,20 +363,12 @@ class EvaluationService:
     ) -> list[float]:
         """One makespan per ``(orders[i], machines[i])`` schedule.
 
-        Routed through the network's vectorized kernel when available,
-        a sequential scalar loop otherwise — bit-identical either way.
+        Routed through the backend's kernel (see :attr:`kernel_tier`)
+        — bit-identical on every tier.
         """
-        if hasattr(self._backend, "batch_makespans"):
-            costs = self._backend.batch_makespans(
-                orders, machines, validate=validate
-            )
-        else:  # prefer_batch=False: plain scalar backend
-            from repro.schedule.vectorized import SequentialBatchKernel
-
-            costs = SequentialBatchKernel(self._backend).makespans(
-                orders, machines, validate=validate
-            )
-        costs = costs.tolist()
+        costs = self._backend.batch_makespans(
+            orders, machines, validate=validate
+        ).tolist()
         self._calls += len(costs)
         return costs
 
@@ -387,11 +376,8 @@ class EvaluationService:
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> list[float]:
         """:meth:`batch_makespans` over :class:`ScheduleString` objects."""
-        if hasattr(self._backend, "batch_string_makespans"):
-            costs = self._backend.batch_string_makespans(
-                strings, validate=validate
-            ).tolist()
-        else:
-            costs = [self._backend.string_makespan(s) for s in strings]
+        costs = self._backend.batch_string_makespans(
+            strings, validate=validate
+        ).tolist()
         self._calls += len(costs)
         return costs

@@ -61,9 +61,9 @@ from repro.schedule.scoring import CostModel, ScheduleScore
 def validate_run_target(cfg) -> None:
     """Check the fields every engine config shares (raises ValueError).
 
-    ``network`` must name a backend and ``platform`` a registered
-    catalog, and ``objective`` / ``scenarios`` / ``distribution`` must
-    form a valid combination (see
+    ``network`` must name a backend and ``platform`` a catalog, and
+    ``objective`` / ``scenarios`` / ``distribution`` must form a valid
+    combination (see
     :func:`~repro.stochastic.distributions.validate_scenario_settings`).
     """
     from repro.schedule.backend import resolve_platform
@@ -433,8 +433,9 @@ class _ScalarizedState:
 class ObjectiveBackend:
     """A backend whose every scalar is the scalarized objective.
 
-    Wraps any :class:`~repro.schedule.backend.SimulatorBackend`; built
-    by the :class:`~repro.optim.evaluation.EvaluationService` when a
+    Wraps a batch-capable backend (a
+    :class:`~repro.schedule.vectorized.BatchBackend`); built by the
+    :class:`~repro.optim.evaluation.EvaluationService` when a
     non-default objective (or a Pareto tracker) is requested.  The
     default makespan objective never constructs one — the unwrapped
     backend stays bit-identical.
@@ -456,11 +457,6 @@ class ObjectiveBackend:
         self._objective = objective
         self._cm = cost_model
         self._pareto = pareto
-        # batch methods exist exactly when the inner backend has them,
-        # so the service's hasattr routing keeps working unchanged
-        if hasattr(inner, "batch_makespans"):
-            self.batch_makespans = self._batch_makespans
-            self.batch_string_makespans = self._batch_string_makespans
 
     # ------------------------------------------------------------------
     # identity / passthrough
@@ -484,15 +480,8 @@ class ObjectiveBackend:
         return self._inner.workload
 
     @property
-    def is_vectorized(self) -> bool:
-        return bool(getattr(self._inner, "is_vectorized", False))
-
-    @property
     def kernel_tier(self) -> str:
-        tier = getattr(self._inner, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
+        return self._inner.kernel_tier
 
     def evaluate(self, string) -> Any:
         result = self._inner.evaluate(string)
@@ -500,13 +489,7 @@ class ObjectiveBackend:
         return result
 
     def score(self, order, machine_of) -> ScheduleScore:
-        inner_score = getattr(self._inner, "score", None)
-        if inner_score is not None:
-            s = inner_score(order, machine_of)
-        else:
-            s = self._cm.score(
-                machine_of, self._inner.makespan(order, machine_of)
-            )
+        s = self._inner.score(order, machine_of)
         self._offer(s.makespan, s.cost, (order, machine_of))
         return s
 
@@ -564,23 +547,11 @@ class ObjectiveBackend:
         self._offer(span, cost, (order, machine_of))
         return self._objective.scalarize(span, cost)
 
-    # bound as instance attributes iff the inner backend is batch-capable
-
-    def _batch_makespans(
+    def batch_makespans(
         self, orders, machines, validate: bool = True
     ) -> np.ndarray:
-        if hasattr(self._inner, "batch_scores"):
-            scores = self._inner.batch_scores(
-                orders, machines, validate=validate
-            )
-            spans, costs = scores.makespans, scores.costs
-        else:
-            spans = self._inner.batch_makespans(
-                orders, machines, validate=validate
-            )
-            costs = self._cm.batch_costs(
-                np.asarray(machines, dtype=np.intp)
-            )
+        scores = self._inner.batch_scores(orders, machines, validate=validate)
+        spans, costs = scores.makespans, scores.costs
         if self._pareto is not None:
             for i in range(len(spans)):
                 self._pareto.offer(
@@ -590,21 +561,11 @@ class ObjectiveBackend:
                 )
         return self._objective.scalarize_arrays(spans, costs)
 
-    def _batch_string_makespans(
+    def batch_string_makespans(
         self, strings: Sequence[Any], validate: bool = True
     ) -> np.ndarray:
-        if hasattr(self._inner, "batch_string_scores"):
-            scores = self._inner.batch_string_scores(
-                strings, validate=validate
-            )
-            spans, costs = scores.makespans, scores.costs
-        else:
-            spans = self._inner.batch_string_makespans(
-                strings, validate=validate
-            )
-            costs = self._cm.batch_costs(
-                np.array([s.machines for s in strings], dtype=np.intp)
-            )
+        scores = self._inner.batch_string_scores(strings, validate=validate)
+        spans, costs = scores.makespans, scores.costs
         if self._pareto is not None:
             for i, s in enumerate(strings):
                 self._pareto.offer(float(spans[i]), float(costs[i]), s)

@@ -7,8 +7,8 @@ move at a local optimum, see :func:`~repro.optim.neighborhood.
 random_move`) — and scores *all* candidates in one
 :meth:`~repro.optim.evaluation.EvaluationService.
 batch_string_makespans` call, which routes through the network's
-vectorized batch kernel when one is registered (the contention-free
-model) and a scalar loop otherwise.  The best **admissible** candidate
+batch kernel (a scalar loop when the service carries initial machine
+state).  The best **admissible** candidate
 is then committed even if it worsens the schedule (that is what lets
 tabu search climb out of local optima):
 

@@ -4,8 +4,8 @@
   string (§4.1);
 * :mod:`~repro.schedule.valid_range` — dependency-safe moving windows;
 * :class:`Simulator` — the deterministic cost model (string → makespan);
-* :mod:`~repro.schedule.backend` — pluggable simulator backends keyed
-  by network-model name (``"contention-free"`` | ``"nic"`` | custom);
+* :mod:`~repro.schedule.backend` — simulator backends keyed by
+  network-model name (``"contention-free"`` | ``"nic"``);
 * :class:`BatchSimulator` / :class:`BatchBackend` — the vectorized
   batch-evaluation tier (``make_simulator(..., batch=True)``);
 * :class:`Timeline` / :func:`verify_schedule` — Gantt views and full
@@ -25,9 +25,6 @@ from repro.schedule.backend import (
     plain_schedule,
     platform_cost_vectorized,
     platform_state,
-    register_batch_network,
-    register_network,
-    register_platform,
     resolve_platform,
 )
 from repro.schedule.encoding import (
@@ -84,9 +81,6 @@ __all__ = [
     "plain_schedule",
     "platform_cost_vectorized",
     "platform_state",
-    "register_batch_network",
-    "register_network",
-    "register_platform",
     "resolve_platform",
     "BatchScores",
     "CostModel",

@@ -1,4 +1,4 @@
-"""Pluggable simulator backends: one cost model per network assumption.
+"""Simulator backends: one cost model per network assumption.
 
 The paper's model (and :class:`~repro.schedule.simulator.Simulator`)
 assumes a fully connected, contention-free network.  Realistic models —
@@ -12,10 +12,9 @@ string-keyed parameter:
   implements: ``makespan`` / ``evaluate`` plus the incremental tier
   (``prepare`` → delta state → ``evaluate_delta``) that the SE allocator
   and the GA offspring loop run on;
-* :func:`make_simulator` — ``(workload, network)`` → backend instance;
-* :func:`register_network` — downstream code can plug in its own model
-  (registration must happen at import time of a module the runner's
-  worker processes also import, exactly like algorithm registration).
+* :func:`network_table` — the closed table of shipped network models,
+  each with its scalar backend, NumPy batch kernel and compiled kernel;
+* :func:`make_simulator` — ``(workload, network)`` → backend instance.
 
 Because the selector is a plain string, it travels everywhere the
 algorithms do: ``SEConfig(network="nic")``, ``GAConfig(network="nic")``,
@@ -24,14 +23,14 @@ algorithms do: ``SEConfig(network="nic")``, ``GAConfig(network="nic")``,
 
 The **platform** axis works the same way, orthogonally to the network:
 a :class:`~repro.model.platform.PlatformSpec` (instance catalog with
-speed factors, $/hour prices and boot delays) registered under a string
-name.  ``make_simulator(w, network, platform="cloud")`` scales the
-execution-time matrix by instance speed, folds boot delays into the
-initial availability, and attaches the billing table so the backend's
-``score`` / ``batch_scores`` report dollar cost next to makespan.  The
-default ``"uniform"`` platform changes *nothing* — same workload
-object, no extra keyword reaches the backend factory — so it is
-bit-identical to the historical ETC path (golden-pinned).
+speed factors, $/hour prices and boot delays) looked up by name in
+:data:`PLATFORMS`.  ``make_simulator(w, network, platform="cloud")``
+scales the execution-time matrix by instance speed, folds boot delays
+into the initial availability, and attaches the billing table so the
+backend's ``score`` / ``batch_scores`` report dollar cost next to
+makespan.  The default ``"uniform"`` platform changes *nothing* — same
+workload object, no billing table — so it is bit-identical to the
+historical ETC path (golden-pinned).
 
 >>> from repro.schedule.backend import available_networks, make_simulator
 >>> available_networks()
@@ -52,8 +51,23 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Protocol, Sequence, runtime_checkable
+from functools import lru_cache
+from typing import (
+    Any,
+    Dict,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
+from repro.model.platform import (
+    CLOUD_PLATFORM,
+    SPOT_PLATFORM,
+    UNIFORM_PLATFORM,
+    PlatformSpec,
+)
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.simulator import Schedule, Simulator
@@ -116,128 +130,78 @@ class SimulatorBackend(Protocol):
     ) -> float: ...
 
 
-#: A backend factory: workload -> backend instance.
-BackendFactory = Callable[[Workload], SimulatorBackend]
+class NetworkImpl(NamedTuple):
+    """One network model's implementation on each evaluation tier."""
 
-_NETWORKS: Dict[str, BackendFactory] = {DEFAULT_NETWORK: Simulator}
-
-#: Batch-kernel factories keyed by network name (see ``vectorized.py``).
-_BATCH_NETWORKS: Dict[str, Callable[[Workload], Any]] = {}
-
-#: Compiled-kernel factories keyed by network name (see ``jit.py``).
-_JIT_NETWORKS: Dict[str, Callable[[Workload], Any]] = {}
-
-
-def register_network(name: str):
-    """Decorator registering a backend factory under *name* (unique)."""
-
-    def deco(factory: BackendFactory) -> BackendFactory:
-        key = name.lower()
-        if key in _NETWORKS:
-            raise ValueError(f"network model {key!r} already registered")
-        _NETWORKS[key] = factory
-        return factory
-
-    return deco
+    #: The scalar :class:`SimulatorBackend` class.
+    backend: type
+    #: The NumPy batch kernel (a :class:`~repro.schedule.vectorized.BatchKernel`).
+    kernel: type
+    #: The compiled drop-in for ``kernel`` (see :mod:`repro.schedule.jit`).
+    jit_kernel: type
 
 
-def register_batch_network(name: str):
-    """Decorator registering a *batch kernel* factory under *name*.
+@lru_cache(maxsize=None)
+def network_table() -> Dict[str, NetworkImpl]:
+    """Every network model, keyed by name: the one place the mapping
+    from network to implementation is written.
 
-    A batch kernel offers ``makespans(orders, machines)`` /
-    ``string_makespans(strings)`` returning one float per schedule,
-    bit-identical to the network's scalar backend, plus an
-    ``is_vectorized`` flag.  Networks without a registered kernel fall
-    back to a sequential loop over their scalar backend when callers
-    request ``make_simulator(..., batch=True)``.
+    Built on first use: the NIC backend lives one layer up
+    (:mod:`repro.extensions.contention`), and importing it here lazily
+    keeps :mod:`repro.schedule` free of an import-time dependency on the
+    extension layer.
     """
+    from repro.extensions.contention import ContentionSimulator
+    from repro.schedule.jit import JitBatchSimulator, JitContentionBatchSimulator
+    from repro.schedule.vectorized import BatchSimulator
+    from repro.schedule.vectorized_contention import ContentionBatchSimulator
 
-    def deco(factory):
-        key = name.lower()
-        if key in _BATCH_NETWORKS:
-            raise ValueError(
-                f"batch kernel for network {key!r} already registered"
-            )
-        _BATCH_NETWORKS[key] = factory
-        return factory
-
-    return deco
-
-
-def register_jit_network(name: str):
-    """Decorator registering a *compiled* (JIT) kernel factory.
-
-    A JIT kernel is a drop-in for the network's NumPy batch kernel
-    (same batch API, bit-identical results) that additionally reports
-    ``kernel_tier == "jit"``.  Selection order is jit > vectorized >
-    sequential (see :func:`kernel_tier`); a network registering only a
-    NumPy kernel keeps working exactly as before.
-    """
-
-    def deco(factory):
-        key = name.lower()
-        if key in _JIT_NETWORKS:
-            raise ValueError(
-                f"jit kernel for network {key!r} already registered"
-            )
-        _JIT_NETWORKS[key] = factory
-        return factory
-
-    return deco
+    return {
+        DEFAULT_NETWORK: NetworkImpl(
+            Simulator, BatchSimulator, JitBatchSimulator
+        ),
+        NIC_NETWORK: NetworkImpl(
+            ContentionSimulator,
+            ContentionBatchSimulator,
+            JitContentionBatchSimulator,
+        ),
+    }
 
 
-#: Platform specs keyed by name (see ``repro.model.platform``).
-_PLATFORMS: Dict[str, Any] = {}
+def _network(network: str) -> NetworkImpl:
+    try:
+        return network_table()[network.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown network model {network!r}; available: "
+            f"{', '.join(available_networks())}"
+        ) from None
 
 
-def register_platform(spec) -> Any:
-    """Register a :class:`~repro.model.platform.PlatformSpec` under its
-    own (unique, lower-cased) name; returns the spec for chaining.
-
-    Like network registration, this must happen at import time of a
-    module the runner's worker processes also import, so ``platform=``
-    strings resolve in every process.
-    """
-    key = spec.name.lower()
-    if key in _PLATFORMS:
-        raise ValueError(f"platform {key!r} already registered")
-    _PLATFORMS[key] = spec
-    return spec
-
-
-def _ensure_platform_builtins() -> None:
-    if DEFAULT_PLATFORM not in _PLATFORMS:
-        from repro.model.platform import (
-            CLOUD_PLATFORM,
-            SPOT_PLATFORM,
-            UNIFORM_PLATFORM,
-        )
-
-        for spec in (UNIFORM_PLATFORM, CLOUD_PLATFORM, SPOT_PLATFORM):
-            if spec.name not in _PLATFORMS:
-                register_platform(spec)
+#: The built-in platform catalogs (see ``repro.model.platform``), by name.
+PLATFORMS: Dict[str, PlatformSpec] = {
+    spec.name: spec for spec in (UNIFORM_PLATFORM, CLOUD_PLATFORM, SPOT_PLATFORM)
+}
 
 
 def available_platforms() -> list[str]:
-    """All registered platform names, sorted."""
-    _ensure_platform_builtins()
-    return sorted(_PLATFORMS)
+    """All platform names, sorted."""
+    return sorted(PLATFORMS)
 
 
-def resolve_platform(platform) -> Any:
+def resolve_platform(platform) -> PlatformSpec:
     """*platform* (name or spec object) as a
     :class:`~repro.model.platform.PlatformSpec`.
 
     Raises
     ------
     ValueError
-        If a string names no registered platform.
+        If a string names no platform.
     """
     if not isinstance(platform, str):
         return platform  # an ad-hoc PlatformSpec, used directly
-    _ensure_platform_builtins()
     try:
-        return _PLATFORMS[platform.lower()]
+        return PLATFORMS[platform.lower()]
     except KeyError:
         raise ValueError(
             f"unknown platform {platform!r}; available: "
@@ -249,10 +213,11 @@ def platform_cost_vectorized(platform) -> bool:
     """Whether *platform*'s cost path stays vectorized in the batch tier.
 
     Boot delays become initial machine state, and initial state always
-    routes batch evaluation through the sequential scalar fallback (the
-    kernels pack idle machines) — so only zero-boot platforms keep the
-    one-gather vectorized cost column.  Surfaced by ``repro algorithms``
-    / ``repro run --verbose`` next to the per-network batch modes.
+    routes batch evaluation through the sequential kernel (the
+    vectorized kernels pack idle machines) — so only zero-boot platforms
+    keep the one-gather vectorized cost column.  Surfaced by ``repro
+    algorithms`` / ``repro run --verbose`` next to the per-network batch
+    modes.
 
     >>> platform_cost_vectorized("uniform"), platform_cost_vectorized("spot")
     (True, True)
@@ -280,7 +245,20 @@ def platform_state(
     This is the entry point the incremental baselines (HEFT, min-min,
     OLB, ...) use so their EFT decision phase sees exactly the machine
     model their reported schedule is measured under.
+
+    Raises
+    ------
+    ValueError
+        If ``initial_nic_free`` is given for a network other than
+        ``"nic"`` (only the NIC model has NIC state), or *platform*
+        names no platform.
     """
+    nic = network.lower() == NIC_NETWORK
+    if initial_nic_free is not None and not nic:
+        raise ValueError(
+            f"initial_nic_free applies only to the {NIC_NETWORK!r} "
+            f"network, not {network!r}"
+        )
     spec = resolve_platform(platform)
     if spec.is_uniform:
         return workload, initial_avail, initial_nic_free
@@ -288,95 +266,57 @@ def platform_state(
     workload = bound.apply(workload)
     if bound.has_boot:
         initial_avail = bound.combine_avail(initial_avail)
-        if network.lower() == NIC_NETWORK or initial_nic_free is not None:
+        if nic:
             initial_nic_free = bound.combine_avail(initial_nic_free)
     return workload, initial_avail, initial_nic_free
 
 
-def _ensure_builtins() -> None:
-    # The NIC backend lives one layer up (repro.extensions.contention) and
-    # registers itself at import; import it lazily so repro.schedule keeps
-    # no import-time dependency on the extension layer.  The vectorized
-    # batch kernels register the "contention-free" and "nic" fast paths
-    # the same way.
-    if NIC_NETWORK not in _NETWORKS:
-        import repro.extensions.contention  # noqa: F401  (registers "nic")
-    if DEFAULT_NETWORK not in _BATCH_NETWORKS:
-        import repro.schedule.vectorized  # noqa: F401
-    if NIC_NETWORK not in _BATCH_NETWORKS:
-        import repro.schedule.vectorized_contention  # noqa: F401
-    if DEFAULT_NETWORK not in _JIT_NETWORKS:
-        # always importable: the module keeps a plain-Python fallback
-        # and only *selects* itself when numba (or an override) says so
-        import repro.schedule.jit  # noqa: F401
-
-
 def available_networks() -> list[str]:
-    """All registered network-model names, sorted."""
-    _ensure_builtins()
-    return sorted(_NETWORKS)
+    """All network-model names, sorted."""
+    return sorted(network_table())
 
 
-def has_batch_kernel(network: str) -> bool:
-    """Whether *network* registered a vectorized batch kernel.
+def batch_kernel_factory(network: str) -> type:
+    """The batch-kernel class of *network*'s active tier.
 
-    False means ``make_simulator(..., batch=True)`` still works but
-    loops the scalar backend sequentially (and the resulting backend
-    reports ``is_vectorized == False``).  Surfaced by ``repro
-    algorithms`` / ``repro run --verbose`` so the fallback is visible.
+    The compiled kernel when :func:`~repro.schedule.jit.jit_selected`
+    (numba importable, or ``REPRO_KERNEL=jit`` forcing it), else the
+    NumPy kernel.  For callers that build kernels directly against
+    pre-packed tensors (the scenario tier constructs one kernel per
+    sampled scenario, sharing DAG-structure tables across them);
+    everyone else should go through :func:`make_simulator` with
+    ``batch=True``.
 
-    >>> has_batch_kernel("contention-free"), has_batch_kernel("nic")
-    (True, True)
+    Raises
+    ------
+    ValueError
+        If *network* names no network model, ``REPRO_KERNEL`` is set to
+        an unknown mode, or it demands ``jit`` on an installation
+        without numba.
     """
-    _ensure_builtins()
-    return network.lower() in _BATCH_NETWORKS
+    from repro.schedule.jit import jit_selected
+
+    impl = _network(network)
+    return impl.jit_kernel if jit_selected() else impl.kernel
 
 
 def kernel_tier(network: str) -> str:
     """The batch tier ``make_simulator(..., batch=True)`` selects now.
 
-    ``"jit"`` when the network registered a compiled kernel and the
-    compiled tier is selected (numba importable, or ``REPRO_KERNEL=jit``
-    forcing it), ``"vectorized"`` for a NumPy kernel, ``"sequential"``
-    for networks with neither.  Backends constructed with initial
-    machine state always run ``"sequential"`` regardless of this answer
-    (the kernels pack idle machines).  Surfaced by ``repro algorithms``
-    and ``repro run --verbose`` so the active tier is visible, not
-    guessed.
+    ``"jit"`` when the compiled tier is selected, else ``"vectorized"``
+    (see :func:`batch_kernel_factory`).  Backends constructed with
+    initial machine state run ``"sequential"`` regardless of this answer
+    (the kernels pack idle machines), and so does an
+    :class:`~repro.optim.evaluation.EvaluationService` built with
+    ``prefer_batch=False``.  Surfaced by ``repro algorithms`` and
+    ``repro run --verbose`` so the active tier is visible, not guessed.
 
     Raises
     ------
     ValueError
-        If ``REPRO_KERNEL`` is set to an unknown mode, or demands
-        ``jit`` on an installation without numba.
+        As :func:`batch_kernel_factory`.
     """
-    _ensure_builtins()
-    from repro.schedule import jit as jit_mod
-
-    key = network.lower()
-    if key in _JIT_NETWORKS and jit_mod.jit_selected():
-        return "jit"
-    if key in _BATCH_NETWORKS:
-        return "vectorized"
-    return "sequential"
-
-
-def batch_kernel_factory(network: str):
-    """The batch-kernel factory of *network*'s active tier, or ``None``.
-
-    For callers that build kernels directly against pre-packed tensors
-    (the scenario tier constructs one kernel per sampled scenario,
-    sharing DAG-structure tables across them); everyone else should go
-    through :func:`make_simulator` with ``batch=True``.  Honors the
-    same jit > vectorized selection (and ``REPRO_KERNEL`` override) as
-    :func:`make_simulator`, so every batch-scoring path rides the
-    compiled tier when it is available.
-    """
-    _ensure_builtins()
-    key = network.lower()
-    if kernel_tier(key) == "jit":
-        return _JIT_NETWORKS[key]
-    return _BATCH_NETWORKS.get(key)
+    return batch_kernel_factory(network).kernel_tier
 
 
 def make_simulator(
@@ -392,85 +332,66 @@ def make_simulator(
     With ``batch=True`` the scalar backend is wrapped in a
     :class:`~repro.schedule.vectorized.BatchBackend` that additionally
     offers ``batch_makespans(orders, machines)`` /
-    ``batch_string_makespans(strings)``: the network's best registered
-    kernel tier — compiled :mod:`~repro.schedule.jit` kernels when
-    numba imports (override with ``REPRO_KERNEL=numpy|jit``), else the
-    NumPy kernel (:class:`~repro.schedule.vectorized.BatchSimulator`
-    for ``"contention-free"``,
-    :class:`~repro.schedule.vectorized_contention.
-    ContentionBatchSimulator` for ``"nic"``), else a sequential scalar
-    fallback for networks without one (see :func:`kernel_tier` /
-    :func:`has_batch_kernel`).  All tiers are bit-identical.
-    Scalar-tier methods are forwarded without overhead either way, so a
-    batch-wrapped backend is a drop-in :class:`SimulatorBackend`.
+    ``batch_string_makespans(strings)`` through the kernel of
+    :func:`batch_kernel_factory`: compiled :mod:`~repro.schedule.jit`
+    kernels when numba imports (override with
+    ``REPRO_KERNEL=numpy|jit``), else the NumPy kernel
+    (:class:`~repro.schedule.vectorized.BatchSimulator` for
+    ``"contention-free"``, :class:`~repro.schedule.vectorized_contention.
+    ContentionBatchSimulator` for ``"nic"``).  All tiers are
+    bit-identical.  Scalar-tier methods are forwarded without overhead,
+    so a batch-wrapped backend is a drop-in :class:`SimulatorBackend`.
 
-    ``initial_avail`` (and, for NIC-style models, ``initial_nic_free``)
+    ``initial_avail`` (and, for ``"nic"`` only, ``initial_nic_free``)
     construct the backend against machines that are already busy with
     earlier work — the substrate of the online scheduling service
-    (:mod:`repro.online`).  The built-in backends accept both; a custom
-    registered network must accept the corresponding keyword to be used
-    with a non-``None`` value.  Because the vectorized batch kernels pack
-    idle-machine state, a batch request with initial state always routes
-    through the sequential scalar fallback (``is_vectorized`` reports
-    ``False``), keeping results exact.
+    (:mod:`repro.online`).  Because the vectorized kernels pack
+    idle-machine state, a batch request with initial state always runs
+    the :class:`~repro.schedule.vectorized.SequentialBatchKernel`
+    (``kernel_tier`` reports ``"sequential"``), keeping results exact.
 
-    ``platform`` selects a registered
-    :class:`~repro.model.platform.PlatformSpec` (or takes one directly):
-    the backend is built against the speed-scaled execution matrix, with
-    boot delays as initial state (so platforms with boot also take the
-    sequential batch fallback) and the billing table attached — its
-    ``score`` / ``string_score`` and, under ``batch=True``,
-    ``batch_scores`` then report dollar cost next to makespan.  The
-    default ``"uniform"`` platform adds *nothing* to this call — same
-    workload object, no extra keyword — and is therefore bit-identical
-    to the historical path.  A custom registered network must accept a
-    ``cost_model`` keyword to be used with a non-uniform platform.
+    ``platform`` selects a :class:`~repro.model.platform.PlatformSpec`
+    by name (or takes one directly): the backend is built against the
+    speed-scaled execution matrix, with boot delays as initial state (so
+    platforms with boot also take the sequential kernel) and the billing
+    table attached — its ``score`` / ``string_score`` and, under
+    ``batch=True``, ``batch_scores`` then report dollar cost next to
+    makespan.  The default ``"uniform"`` platform leaves the workload
+    object and the initial state untouched and attaches no billing
+    table, so it is bit-identical to the historical path.
 
     Raises
     ------
     ValueError
-        If *network* names no registered backend, or *platform* no
-        registered platform.
+        If *network* names no network model, *platform* no platform, or
+        ``initial_nic_free`` is given for a network other than ``"nic"``.
     """
-    _ensure_builtins()
+    impl = _network(network)
     key = network.lower()
-    try:
-        factory = _NETWORKS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown network model {network!r}; available: "
-            f"{', '.join(available_networks())}"
-        ) from None
     spec = resolve_platform(platform)
+    workload, initial_avail, initial_nic_free = platform_state(
+        workload, spec, key, initial_avail, initial_nic_free
+    )
     cost_model = None
     if not spec.is_uniform:
         from repro.schedule.scoring import CostModel
 
-        workload, initial_avail, initial_nic_free = platform_state(
-            workload, spec, key, initial_avail, initial_nic_free
-        )
         cost_model = CostModel(
             workload.exec_times.values, spec.bind(workload.num_machines).prices
         )
-    kwargs: Dict[str, Any] = {}
-    if initial_avail is not None:
-        kwargs["initial_avail"] = initial_avail
-    if initial_nic_free is not None:
-        kwargs["initial_nic_free"] = initial_nic_free
-    if cost_model is not None:
-        scalar = factory(workload, cost_model=cost_model, **kwargs)
-    else:
-        scalar = factory(workload, **kwargs)
+    nic_state = {"initial_nic_free": initial_nic_free} if key == NIC_NETWORK else {}
+    scalar = impl.backend(
+        workload, initial_avail=initial_avail, cost_model=cost_model, **nic_state
+    )
     if not batch:
         return scalar
     from repro.schedule.vectorized import BatchBackend, SequentialBatchKernel
 
-    kernel_factory = batch_kernel_factory(key)
-    if kernel_factory is None or kwargs:
-        kernel = SequentialBatchKernel(scalar)
+    if initial_avail is None and initial_nic_free is None:
+        kernel = batch_kernel_factory(key)(workload, cost_model=cost_model)
     else:
-        kernel = kernel_factory(workload)
-    return BatchBackend(scalar, kernel, cost_model=cost_model)
+        kernel = SequentialBatchKernel(scalar)
+    return BatchBackend(scalar, kernel)
 
 
 def plain_schedule(evaluated: Any) -> Schedule:

@@ -20,8 +20,8 @@ tier per network:
    networks), auto-selected when :mod:`numba` imports;
 2. ``vectorized`` — the NumPy kernels, the fallback when numba is
    absent (this repo never *requires* numba — it is an extra);
-3. ``sequential`` — a scalar loop, for networks without any kernel or
-   for backends carrying initial machine state.
+3. ``sequential`` — a scalar loop, for backends carrying initial
+   machine state (and services built with ``prefer_batch=False``).
 
 The environment variable ``REPRO_KERNEL`` overrides the choice for
 debugging and CI: ``REPRO_KERNEL=numpy`` pins the NumPy tier even with
@@ -70,7 +70,6 @@ from typing import Optional
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_jit_network
 from repro.schedule.vectorized import BatchSimulator, WorkloadPack
 from repro.schedule.vectorized_contention import ContentionBatchSimulator
 
@@ -269,7 +268,6 @@ def _walk_nic(
 # ----------------------------------------------------------------------
 
 
-@register_jit_network("contention-free")
 class JitBatchSimulator(BatchSimulator):
     """Compiled batch kernel for the contention-free model.
 
@@ -306,7 +304,6 @@ class JitBatchSimulator(BatchSimulator):
         return out
 
 
-@register_jit_network("nic")
 class JitContentionBatchSimulator(ContentionBatchSimulator):
     """Compiled batch kernel for the ``"nic"`` network model.
 

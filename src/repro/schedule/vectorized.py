@@ -64,7 +64,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_batch_network
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import BatchScores, CostModel
 from repro.schedule.simulator import InvalidScheduleError
@@ -428,9 +427,6 @@ class BatchKernel:
     the packing side.
     """
 
-    #: True for a real vectorized kernel; the scalar fallback says False.
-    is_vectorized = True
-
     #: The tier name surfaced by ``repro algorithms`` / ``repro run
     #: --verbose``: "vectorized" here, "jit" for the compiled subclasses
     #: in :mod:`repro.schedule.jit`, "sequential" for the scalar loop.
@@ -500,10 +496,6 @@ class BatchKernel:
         """The platform billing table :meth:`scores` charges against
         (``None`` → the zero model of the uniform platform)."""
         return self._cost_model
-
-    @cost_model.setter
-    def cost_model(self, model: Optional[CostModel]) -> None:
-        self._cost_model = model
 
     @property
     def workload(self) -> Workload:
@@ -609,7 +601,6 @@ class BatchKernel:
         return self.scores(orders, machines, validate=validate)
 
 
-@register_batch_network("contention-free")
 class BatchSimulator(BatchKernel):
     """NumPy batch-evaluation kernel for the contention-free model.
 
@@ -754,16 +745,16 @@ class BatchSimulator(BatchKernel):
 
 
 class SequentialBatchKernel:
-    """Scalar fallback: a batch API looping over any scalar backend.
+    """The batch API as a loop over a scalar backend.
 
-    Used when a network model has no vectorized kernel registered, or
-    the backend carries initial machine state, so batch-aware callers
-    can stay on one code path.  Batch shapes are checked as in
-    :class:`BatchKernel`, and machine ranges under *validate*; the
-    scalar backend performs its own precedence checks.
+    The kernel of backends carrying initial machine state (the
+    vectorized kernels pack idle machines) and of an
+    :class:`~repro.optim.evaluation.EvaluationService` built with
+    ``prefer_batch=False``, so batch-aware callers stay on one code
+    path.  Batch shapes are checked as in :class:`BatchKernel`, and
+    machine ranges under *validate*; the scalar backend performs its
+    own precedence checks.
     """
-
-    is_vectorized = False
 
     kernel_tier = "sequential"
 
@@ -803,31 +794,24 @@ class SequentialBatchKernel:
     def scores(
         self, orders: Any, machines: Any, validate: bool = True
     ) -> BatchScores:
-        """Sequential ``(makespans, costs)`` via the backend's ``score``
-        (zero costs for scalar backends without a multi-metric tier)."""
-        score = getattr(self._backend, "score", None)
-        if score is None:
-            spans = self.makespans(orders, machines, validate=validate)
-            return BatchScores(spans, np.zeros(len(spans)))
+        """Sequential ``(makespans, costs)`` via the backend's ``score``."""
+        score = self._backend.score
         orders, machines = self._rows(orders, machines, validate)
-        triples = [score(o, m) for o, m in zip(orders, machines)]
-        return BatchScores(
-            np.array([s.makespan for s in triples], dtype=float),
-            np.array([s.cost for s in triples], dtype=float),
-        )
+        return _stack_scores([score(o, m) for o, m in zip(orders, machines)])
 
     def string_scores(
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> BatchScores:
-        score = getattr(self._backend, "string_score", None)
-        if score is None:
-            spans = self.string_makespans(strings, validate=validate)
-            return BatchScores(spans, np.zeros(len(spans)))
-        triples = [score(s) for s in strings]
-        return BatchScores(
-            np.array([s.makespan for s in triples], dtype=float),
-            np.array([s.cost for s in triples], dtype=float),
-        )
+        score = self._backend.string_score
+        return _stack_scores([score(s) for s in strings])
+
+
+def _stack_scores(triples: list) -> BatchScores:
+    """Per-schedule :class:`ScheduleScore` triples as batch columns."""
+    return BatchScores(
+        np.array([s.makespan for s in triples], dtype=float),
+        np.array([s.cost for s in triples], dtype=float),
+    )
 
 
 class BatchBackend:
@@ -836,9 +820,9 @@ class BatchBackend:
     Produced by ``make_simulator(workload, network, batch=True)``.
     Scalar-tier methods (``makespan``, ``prepare``, ``evaluate_delta``,
     ...) are bound straight from the wrapped backend, so the incremental
-    hot path pays zero delegation overhead; :meth:`batch_makespans` and
-    :meth:`batch_string_makespans` go through the vectorized kernel (or
-    the scalar fallback when the network has none).
+    hot path pays zero delegation overhead; the ``batch_*`` methods go
+    through the kernel — a vectorized or compiled one, or a
+    :class:`SequentialBatchKernel` over the scalar backend.
     """
 
     _FORWARDED = (
@@ -851,51 +835,32 @@ class BatchBackend:
         "string_score",
     )
 
-    def __init__(
-        self,
-        scalar: Any,
-        kernel: Any,
-        cost_model: Optional[CostModel] = None,
-    ):
+    def __init__(self, scalar: Any, kernel: Any):
         self._scalar = scalar
         self._kernel = kernel
-        self._cost_model = cost_model
-        if cost_model is not None:
-            try:
-                kernel.cost_model = cost_model
-            except AttributeError:
-                pass  # custom kernel without a cost tier; see batch_scores
         for name in self._FORWARDED:
-            method = getattr(scalar, name, None)
-            if method is not None:
-                setattr(self, name, method)
+            setattr(self, name, getattr(scalar, name))
 
     @property
     def workload(self) -> Workload:
         return self._scalar.workload
 
     @property
-    def is_vectorized(self) -> bool:
-        """True when batch calls run a genuinely vectorized kernel.
-
-        Read-only: the answer is a fact about the wrapped kernel, not a
-        switch.  Surfaced by ``repro algorithms`` and ``repro run
-        --verbose`` so a sequential fallback is visible instead of
-        silent.
-        """
-        return bool(self._kernel.is_vectorized)
-
-    @property
     def kernel_tier(self) -> str:
         """The wrapped kernel's tier: ``"jit"``, ``"vectorized"`` or
-        ``"sequential"`` (custom kernels without the attribute report
-        by their ``is_vectorized`` flag).  Like :attr:`is_vectorized`,
-        a fact about the kernel, surfaced so the CLI can report the
-        tier a run actually executes on."""
-        tier = getattr(self._kernel, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
+        ``"sequential"`` — a fact about the kernel, surfaced so the CLI
+        can report the tier a run actually executes on."""
+        return self._kernel.kernel_tier
+
+    @property
+    def is_vectorized(self) -> bool:
+        """True when batch calls run a vectorized or compiled kernel.
+
+        Read-only, derived from :attr:`kernel_tier`; surfaced by ``repro
+        algorithms`` and ``repro run --verbose`` so a sequential loop is
+        visible instead of silent.
+        """
+        return self.kernel_tier != "sequential"
 
     @property
     def scalar_backend(self) -> Any:
@@ -904,8 +869,14 @@ class BatchBackend:
 
     @property
     def kernel(self) -> Any:
-        """The batch kernel (``BatchSimulator`` or the scalar fallback)."""
+        """The batch kernel."""
         return self._kernel
+
+    @property
+    def cost_model(self) -> Optional[CostModel]:
+        """The scalar backend's platform billing table (``None`` → the
+        zero model of the uniform platform)."""
+        return self._scalar.cost_model
 
     def batch_makespans(
         self, orders: Any, machines: Any, validate: bool = True
@@ -919,43 +890,18 @@ class BatchBackend:
         """Batch of makespans over :class:`ScheduleString` objects."""
         return self._kernel.string_makespans(strings, validate=validate)
 
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table the batch cost column charges
-        against (``None`` → the zero model of the uniform platform)."""
-        return self._cost_model
-
     def batch_scores(
         self, orders: Any, machines: Any, validate: bool = True
     ) -> BatchScores:
         """Batch ``(makespans, costs)``; cost stays vectorized whenever
         the kernel does (one gather + row sum per batch)."""
-        kern = self._kernel
-        if hasattr(kern, "scores"):
-            return kern.scores(orders, machines, validate=validate)
-        # custom kernel without a cost tier: makespans from the kernel,
-        # costs from the billing table directly
-        spans = kern.makespans(orders, machines, validate=validate)
-        cm = self._cost_model
-        if cm is None:
-            return BatchScores(spans, np.zeros(len(spans)))
-        return BatchScores(
-            spans, cm.batch_costs(np.asarray(machines, dtype=np.intp))
-        )
+        return self._kernel.scores(orders, machines, validate=validate)
 
     def batch_string_scores(
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> BatchScores:
         """:meth:`batch_scores` over :class:`ScheduleString` objects."""
-        kern = self._kernel
-        if hasattr(kern, "string_scores"):
-            return kern.string_scores(strings, validate=validate)
-        spans = kern.string_makespans(strings, validate=validate)
-        cm = self._cost_model
-        if cm is None:
-            return BatchScores(spans, np.zeros(len(spans)))
-        machines = np.array([s.machines for s in strings], dtype=np.intp)
-        return BatchScores(spans, cm.batch_costs(machines))
+        return self._kernel.string_scores(strings, validate=validate)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,12 +2,9 @@
 
 The paper's headline extension result — optimising *under* the
 realistic one-NIC-per-machine model beats optimising contention-free
-and re-evaluating — is exactly the configuration the batch tier used to
-abandon: only the contention-free model registered a vectorized kernel,
-so ``make_simulator(w, "nic", batch=True)`` silently degraded to a
-sequential scalar loop.  :class:`ContentionBatchSimulator` closes that
-gap: whole schedule batches are scored under NIC serialisation in NumPy
-sweeps, bit-identical to
+and re-evaluating — needs batch scoring under that model too.
+:class:`ContentionBatchSimulator` provides it: whole schedule batches
+are scored under NIC serialisation in NumPy sweeps, bit-identical to
 :meth:`~repro.extensions.contention.ContentionSimulator.makespan`.
 
 Kernel layout
@@ -59,7 +56,8 @@ Two exactness notes, both load-bearing for bit-identity:
   same-machine mask), never the arrival slot, mirroring the scalar
   reads exactly.
 
-Registered via ``register_batch_network("nic")``, so
+It is the ``"nic"`` entry's NumPy kernel in
+:func:`~repro.schedule.backend.network_table`, so
 ``make_simulator(w, "nic", batch=True)``, the
 :class:`~repro.optim.evaluation.EvaluationService`, GA population
 fitness, ``random_search(batch_size=...)`` and tabu's neighborhood
@@ -85,11 +83,9 @@ from typing import Optional
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_batch_network
 from repro.schedule.vectorized import BatchKernel, WorkloadPack
 
 
-@register_batch_network("nic")
 class ContentionBatchSimulator(BatchKernel):
     """NumPy batch-evaluation kernel for the ``"nic"`` network model.
 

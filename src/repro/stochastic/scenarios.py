@@ -6,9 +6,9 @@ engine for that: scoring B schedules under scenario ``s`` is one
 ``batch_string_makespans`` call against a kernel built from scenario
 ``s``'s matrices, so the full ``(S, B)`` matrix is ``S`` kernel sweeps —
 no new walk code, and both network models (``"contention-free"`` and
-``"nic"``) come for free.  Networks without a registered kernel (or
-callers that disable batching) fall back to an ``S × B`` sequential
-scalar loop, bit-identical.
+``"nic"``) come for free.  Callers that disable batching get one
+:class:`~repro.schedule.vectorized.SequentialBatchKernel` per scenario
+instead — an ``S × B`` scalar loop, bit-identical.
 
 Two classes:
 
@@ -54,7 +54,7 @@ from repro.schedule.backend import (
     make_simulator,
 )
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.vectorized import WorkloadPack
+from repro.schedule.vectorized import SequentialBatchKernel, WorkloadPack
 from repro.stochastic.distributions import ScenarioSet
 
 __all__ = ["ScenarioEvaluator", "ScenarioBackend"]
@@ -75,13 +75,13 @@ class ScenarioEvaluator:
         Simulator-backend name; scenario walks run under this network
         model, exactly like deterministic scoring.
     prefer_batch:
-        When True (default) and the network registered a batch kernel,
-        one kernel per scenario scores whole batches in NumPy sweeps;
-        otherwise an ``S × B`` sequential scalar loop is used
+        When True (default), one kernel of the network's active tier per
+        scenario scores whole batches in NumPy sweeps; when False, one
+        sequential kernel per scenario loops the scalar backend
         (bit-identical, just slower — surfaced by :attr:`is_vectorized`).
     """
 
-    __slots__ = ("_set", "_network", "_kernels", "_backends", "_vectorized")
+    __slots__ = ("_set", "_network", "_kernels")
 
     def __init__(
         self,
@@ -91,30 +91,21 @@ class ScenarioEvaluator:
     ):
         self._set = scenario_set
         self._network = network
-        self._kernels: Optional[list] = None
-        self._backends: Optional[list] = None
-        factory = batch_kernel_factory(network) if prefer_batch else None
-        self._vectorized = factory is not None
-        S = scenario_set.scenarios
-        if factory is not None:
-            kernels = []
+        workloads = [
+            scenario_set.workload_for(s) for s in range(scenario_set.scenarios)
+        ]
+        if prefer_batch:
+            factory = batch_kernel_factory(network)
             base_pack: Optional[WorkloadPack] = None
-            for s in range(S):
-                w_s = scenario_set.workload_for(s)
-                try:
-                    pack = WorkloadPack(w_s, like=base_pack)
-                    kernel = factory(w_s, pack=pack)
-                except TypeError:
-                    # custom kernel factory without a pack= keyword
-                    pack, kernel = None, factory(w_s)
-                if base_pack is None:
-                    base_pack = pack
-                kernels.append(kernel)
-            self._kernels = kernels
+            self._kernels = []
+            for w_s in workloads:
+                pack = WorkloadPack(w_s, like=base_pack)
+                base_pack = base_pack or pack
+                self._kernels.append(factory(w_s, pack=pack))
         else:
-            self._backends = [
-                make_simulator(scenario_set.workload_for(s), network)
-                for s in range(S)
+            self._kernels = [
+                SequentialBatchKernel(make_simulator(w_s, network))
+                for w_s in workloads
             ]
 
     # ------------------------------------------------------------------
@@ -140,19 +131,15 @@ class ScenarioEvaluator:
         return self._set.workload
 
     @property
-    def is_vectorized(self) -> bool:
-        """True when scenario sweeps run the network's batch kernel."""
-        return self._vectorized
-
-    @property
     def kernel_tier(self) -> str:
         """The tier of the per-scenario kernels (``jit``/``vectorized``)
         or ``sequential`` when scoring loops the scalar backends."""
-        if self._kernels:
-            tier = getattr(self._kernels[0], "kernel_tier", None)
-            if tier is not None:
-                return str(tier)
-        return "vectorized" if self._vectorized else "sequential"
+        return self._kernels[0].kernel_tier
+
+    @property
+    def is_vectorized(self) -> bool:
+        """True when scenario sweeps run a vectorized or compiled kernel."""
+        return self.kernel_tier != "sequential"
 
     # ------------------------------------------------------------------
     # scoring
@@ -169,24 +156,12 @@ class ScenarioEvaluator:
         precedence checks) runs once, on the first scenario: validity
         is a property of the strings, not of the matrices.
         """
-        if self._kernels is not None:
-            rows = []
-            for s, kernel in enumerate(self._kernels):
-                rows.append(
-                    kernel.makespans(
-                        orders, machines, validate=validate and s == 0
-                    )
-                )
-            return np.stack(rows)
-        out = []
-        for backend in self._backends:
-            out.append(
-                [
-                    backend.makespan(list(o), list(m))
-                    for o, m in zip(orders, machines)
-                ]
-            )
-        return np.asarray(out, dtype=float)
+        return np.stack(
+            [
+                kernel.makespans(orders, machines, validate=validate and s == 0)
+                for s, kernel in enumerate(self._kernels)
+            ]
+        )
 
     def string_matrix(
         self, strings: Sequence[ScheduleString], validate: bool = True
@@ -253,10 +228,6 @@ class ScenarioBackend:
     @property
     def workload(self):
         return self._nominal.workload
-
-    @property
-    def is_vectorized(self) -> bool:
-        return self._evaluator.is_vectorized
 
     @property
     def kernel_tier(self) -> str:

@@ -30,17 +30,12 @@ class TestRouting:
         # since the NIC kernel registered, "nic" batches are vectorized
         assert EvaluationService(workload, "nic").is_vectorized is True
 
-    def test_unkernelled_network_falls_back_sequential(
-        self, workload, monkeypatch
-    ):
-        # a network without a registered kernel loops the scalar backend
-        # and *visibly* reports so — the fallback must never be silent
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        svc = EvaluationService(workload, "nic")
+    def test_unkernelled_network_falls_back_sequential(self, workload):
+        # without a kernel the service loops the scalar backend and
+        # *visibly* reports so — the sequential path must never be silent
+        svc = EvaluationService(workload, "nic", prefer_batch=False)
         assert svc.is_vectorized is False
+        assert svc.kernel_tier == "sequential"
         ref = ContentionSimulator(workload)
         strings = [
             random_valid_string(workload.graph, workload.num_machines, s)

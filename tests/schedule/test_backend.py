@@ -1,4 +1,5 @@
-"""Unit tests for the pluggable simulator-backend registry."""
+"""Unit tests for the network table: backend selection by network name,
+the tier queries, and the NIC-state guard."""
 
 import pytest
 
@@ -11,8 +12,9 @@ from repro.schedule import (
     available_networks,
     make_simulator,
     plain_schedule,
-    register_network,
 )
+from repro.schedule.backend import batch_kernel_factory, kernel_tier, network_table
+from repro.schedule.vectorized import SequentialBatchKernel
 from repro.workloads import WorkloadSpec, build_workload
 
 
@@ -41,10 +43,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="available"):
             make_simulator(workload, "infiniband")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_network("nic")(ContentionSimulator)
-
     def test_backends_satisfy_protocol(self, workload):
         for name in available_networks():
             sim = make_simulator(workload, name)
@@ -55,9 +53,63 @@ class TestRegistry:
                 "evaluate",
                 "prepare",
                 "evaluate_delta",
+                "score",
+                "string_score",
             ):
                 assert callable(getattr(sim, method)), (name, method)
             assert sim.workload is workload
+            assert sim.cost_model is None
+
+    def test_kernels_satisfy_protocol(self):
+        for name, impl in network_table().items():
+            for cls in (impl.kernel, impl.jit_kernel, SequentialBatchKernel):
+                for method in (
+                    "makespans",
+                    "string_makespans",
+                    "scores",
+                    "string_scores",
+                ):
+                    assert callable(getattr(cls, method)), (name, cls, method)
+                assert cls.kernel_tier in ("jit", "vectorized", "sequential")
+
+
+class TestTierQueries:
+    @pytest.mark.parametrize("query", [kernel_tier, batch_kernel_factory])
+    def test_unknown_network_rejected(self, query):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown network model 'bogus'; available: "
+            r"contention-free, nic",
+        ):
+            query("bogus")
+
+
+def _make_simulator(w, nic_free):
+    return make_simulator(w, "contention-free", initial_nic_free=nic_free)
+
+
+def _service(w, nic_free):
+    from repro.optim import EvaluationService
+
+    return EvaluationService(w, "contention-free", initial_nic_free=nic_free)
+
+
+def _heft(w, nic_free):
+    from repro.baselines import heft
+
+    return heft(w, network="contention-free", initial_nic_free=nic_free)
+
+
+class TestNicStateGuard:
+    @pytest.mark.parametrize(
+        "entry", [_make_simulator, _service, _heft],
+        ids=["make_simulator", "EvaluationService", "heft"],
+    )
+    def test_nic_state_rejected_off_nic(self, workload, entry):
+        with pytest.raises(
+            ValueError, match="initial_nic_free applies only to the 'nic'"
+        ):
+            entry(workload, [0.0] * workload.num_machines)
 
 
 class TestPlainSchedule:

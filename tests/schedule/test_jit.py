@@ -1,5 +1,5 @@
 """Unit tests for the compiled kernel tier: selection, override
-validation, registration, warmup, and tier reporting end to end.
+validation, the network table's jit entries, warmup, and tier reporting end to end.
 
 Everything here runs on numba-free installations: the selection logic
 reads ``repro.schedule.jit._NUMBA_OK`` at decision time (not import
@@ -85,12 +85,6 @@ class TestTierSelection:
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
         assert kernel_tier(network) == "vectorized"
 
-    def test_no_kernels_at_all_is_sequential(self, monkeypatch):
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic")
-        assert kernel_tier("nic") == "sequential"
-
     def test_factory_returns_jit_classes_when_selected(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
@@ -130,14 +124,12 @@ class TestTierSelection:
 
 
 class TestRegistration:
-    def test_duplicate_jit_registration_rejected(self):
-        backend_mod._ensure_builtins()
-        with pytest.raises(ValueError, match="already registered"):
-            backend_mod.register_jit_network("nic")(object)
-
     def test_builtin_networks_have_jit_kernels(self):
-        backend_mod._ensure_builtins()
-        assert set(backend_mod._JIT_NETWORKS) == {"contention-free", "nic"}
+        table = backend_mod.network_table()
+        assert {name: impl.jit_kernel for name, impl in table.items()} == {
+            "contention-free": JitBatchSimulator,
+            "nic": JitContentionBatchSimulator,
+        }
 
     def test_kernel_tier_attribute(self):
         assert JitBatchSimulator.kernel_tier == "jit"

@@ -1,4 +1,4 @@
-"""The platform axis: specs, registry, boot/speed semantics, bit-identity.
+"""The platform axis: specs, catalog, boot/speed semantics, bit-identity.
 
 The contract that matters most here is the last test class: the default
 ``"uniform"`` platform must leave the whole evaluation path **bit
@@ -22,7 +22,6 @@ from repro.schedule.backend import (
     available_platforms,
     platform_cost_vectorized,
     platform_state,
-    register_platform,
     resolve_platform,
 )
 from repro.schedule.operations import random_valid_string
@@ -126,10 +125,6 @@ class TestRegistry:
     def test_spec_objects_pass_through(self):
         ad_hoc = PlatformSpec("ad-hoc", instances=(InstanceType("z"),))
         assert resolve_platform(ad_hoc) is ad_hoc
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_platform(PlatformSpec("uniform"))
 
     def test_cost_vectorized_iff_zero_boot(self):
         assert platform_cost_vectorized("uniform")

@@ -28,7 +28,6 @@ from repro.schedule import (
     Simulator,
     make_simulator,
     random_valid_string,
-    register_batch_network,
 )
 
 
@@ -185,17 +184,13 @@ class TestBatchBackendPlumbing:
         assert isinstance(sim.scalar_backend, ContentionSimulator)
         assert sim.kernel.workload is w
 
-    def test_make_simulator_unkernelled_network_falls_back(
-        self, monkeypatch
-    ):
-        # without a registered kernel the wrapper still works — via the
+    def test_make_simulator_unkernelled_network_falls_back(self):
+        # with initial machine state (even all-zero) the wrapper runs the
         # sequential scalar loop — and says so via is_vectorized
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
         w = diamond_workload()
-        sim = make_simulator(w, "nic", batch=True)
+        sim = make_simulator(
+            w, "nic", batch=True, initial_avail=[0.0] * w.num_machines
+        )
         assert isinstance(sim, BatchBackend)
         assert not sim.is_vectorized
         assert isinstance(sim.kernel, SequentialBatchKernel)
@@ -230,10 +225,6 @@ class TestBatchBackendPlumbing:
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
         got = sim.batch_string_makespans(strings)
         assert got.tolist() == [sim.string_makespan(x) for x in strings]
-
-    def test_register_batch_network_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_batch_network("contention-free")(BatchSimulator)
 
     def test_kernel_properties(self):
         w = diamond_workload()

@@ -235,9 +235,8 @@ class TestAlgorithmsCommand:
         assert "tabu" in msg and "neighborhood_size" in msg
 
     def test_lists_network_batch_modes(self, capsys, monkeypatch):
-        # both built-in networks ship vectorized batch kernels; the
-        # listing is what makes a sequential fallback visible.  Pin the
-        # NumPy tier so the assertion holds on numba installs too.
+        # both networks ship vectorized batch kernels.  Pin the NumPy
+        # tier so the assertion holds on numba installs too.
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
         main(["algorithms"])
         out = capsys.readouterr().out
@@ -248,18 +247,6 @@ class TestAlgorithmsCommand:
         # the *network* fallback phrase; the platform listing's cloud
         # row legitimately mentions its own (boot delays) fallback
         assert "batch evaluation: sequential scalar fallback" not in out
-
-    def test_lists_sequential_fallback_when_no_kernel(
-        self, capsys, monkeypatch
-    ):
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic", raising=False)
-        main(["algorithms"])
-        out = capsys.readouterr().out
-        assert "sequential scalar fallback" in out
 
     def test_lists_jit_tier_when_numba_selected(self, capsys, monkeypatch):
         # numba-present path without requiring numba: selection reads
@@ -312,23 +299,6 @@ class TestRunVerbose:
         assert (
             "network 'nic': batch evaluation via jit kernel "
             "(numba-compiled)" in out
-        )
-
-    def test_verbose_reports_sequential_fallback(self, capsys, monkeypatch):
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic", raising=False)
-        rc = main(
-            ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
-             "--network", "nic", "--verbose"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "network 'nic': batch evaluation via sequential scalar "
-            "fallback" in out
         )
 
     def test_quiet_by_default(self, capsys):
