@@ -133,7 +133,7 @@ def test_micro_jit_plain(write_output, perf_log):
     """MICRO-JIT: compiled contention-free walk vs the scalar loop."""
     w = paper_scale_workload()
     warmup(w)
-    backend = make_simulator(w, batch=True)
+    backend = make_simulator(w)
     assert backend.kernel_tier == "jit"  # auto-selection, not hand-wiring
     _jit_vs_scalar(
         write_output,
@@ -153,7 +153,7 @@ def test_micro_jit_nic(write_output, perf_log):
     """MICRO-JIT-NIC: compiled NIC-contention walk vs the scalar loop."""
     w = paper_scale_workload()
     warmup(w)
-    backend = make_simulator(w, "nic", batch=True)
+    backend = make_simulator(w, "nic")
     assert backend.kernel_tier == "jit"
     _jit_vs_scalar(
         write_output,

@@ -125,7 +125,6 @@ def test_platform_pareto_study(write_output, perf_log):
             platform=PLATFORM,
             objective=objective,
             pareto=tracker,
-            prefer_batch=False,  # SA is delta-tier; skip kernel packing
         )
         res = run_sa(
             w,

@@ -18,8 +18,9 @@ Two questions, one file:
 
 * **MICRO-SCENARIO** — what does scenario scoring cost?  A B x S
   scoring sweep at paper scale through the vectorized per-scenario
-  batch kernels vs the sequential per-scenario scalar loop (what
-  ``prefer_batch=False`` gives you), equal results asserted first.
+  batch kernels vs the sequential per-scenario scalar loop (each
+  scenario's simulator walks every schedule), equal results — and
+  equal single-schedule ``samples`` columns — asserted first.
 
 Both record :mod:`repro.perf` records into
 ``benchmarks/output/BENCH_micro.json`` for the CI perf gate.  The
@@ -37,6 +38,7 @@ import numpy as np
 from repro.analysis import compare_risk, risk_profile
 from repro.core import SEConfig, SimulatedEvolution
 from repro.optim import EvaluationService
+from repro.schedule.backend import make_simulator
 from repro.schedule.operations import random_valid_string
 from repro.stochastic import ScenarioEvaluator, sample_scenarios
 from repro.workloads import figure5_workload, small_workload
@@ -148,19 +150,24 @@ def test_micro_scenario_batch_vs_scalar_loop(write_output, perf_log):
     w = figure5_workload(seed=1)
     S, B = 16, 64
     scen = sample_scenarios(w, "lognormal:0.25", scenarios=S, seed=3)
-    fast = ScenarioEvaluator(scen, prefer_batch=True)
-    slow = ScenarioEvaluator(scen, prefer_batch=False)
-    assert fast.is_vectorized and not slow.is_vectorized
+    ev = ScenarioEvaluator(scen)
     strings = [
         random_valid_string(w.graph, w.num_machines, seed)
         for seed in range(B)
     ]
-    np.testing.assert_allclose(
-        fast.string_matrix(strings), slow.string_matrix(strings)
-    )
 
-    t_batch = best_of(lambda: fast.string_matrix(strings))
-    t_scalar = best_of(lambda: slow.string_matrix(strings))
+    sims = [make_simulator(scen.workload_for(s)) for s in range(S)]
+
+    def scalar_loop():
+        return np.array([[sim.string_makespan(x) for x in strings] for sim in sims])
+
+    # bit-identical; also builds the kernels before timing
+    want = scalar_loop().tolist()
+    assert ev.string_matrix(strings).tolist() == want
+    assert np.column_stack([ev.samples_string(x) for x in strings]).tolist() == want
+
+    t_batch = best_of(lambda: ev.string_matrix(strings))
+    t_scalar = best_of(scalar_loop)
     speedup = t_scalar / t_batch
     per_eval = t_batch / (S * B) * 1e6
 

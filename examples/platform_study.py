@@ -44,7 +44,6 @@ def main() -> None:
             platform=PLATFORM,
             objective=objective,
             pareto=tracker,
-            prefer_batch=False,
         )
         res = run_sa(
             w,

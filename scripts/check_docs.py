@@ -16,10 +16,14 @@ Four classes of rot this catches:
    ``repro perf check``.  Docs that advertise flags the CLI no longer
    accepts fail the build, not the reader.
 
-3. **Stale config keywords** — every keyword inside a
-   ``SEConfig(...)``, ``GAConfig(...)``, ``SAConfig(...)`` or
-   ``TabuConfig(...)`` mention must name a real field of that
-   dataclass, so a removed or renamed option cannot linger in the docs.
+3. **Stale call keywords** — every keyword inside a ``SEConfig(...)``,
+   ``GAConfig(...)``, ``SAConfig(...)``, ``TabuConfig(...)``,
+   ``make_simulator(...)``, ``EvaluationService(...)``,
+   ``ScenarioEvaluator(...)`` or ``random_search(...)`` mention must
+   name a real parameter of that callable, so a removed or renamed
+   option cannot linger in the docs.  Only the call's own nesting level
+   is checked: in ``ScenarioEvaluator(sample_scenarios(w, d, 8,
+   seed=1))`` the ``seed=`` belongs to ``sample_scenarios``.
 
 4. **Stale module paths** — every inline-code span that is a dotted
    ``repro.`` path (optionally followed by a call, as in
@@ -52,7 +56,10 @@ DOCUMENTS = (
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```(?:\w*)\n(.*?)```", re.DOTALL)
 _INLINE = re.compile(r"`(repro [^`]+)`")
-_CONFIG_CALL = re.compile(r"\b(SEConfig|GAConfig|SAConfig|TabuConfig)\(([^)]*)")
+_CALL = re.compile(
+    r"\b(SEConfig|GAConfig|SAConfig|TabuConfig|make_simulator"
+    r"|EvaluationService|ScenarioEvaluator|random_search)\("
+)
 _KEYWORD = re.compile(r"\b(\w+)=(?!=)")
 _DOTTED = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
 
@@ -176,33 +183,66 @@ def check_cli_references(doc: Path, text: str, surface) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# config keywords
+# call keywords
 # ----------------------------------------------------------------------
 
 
-def _config_fields() -> dict[str, set[str]]:
-    """(config class name -> dataclass field names) of the engine configs."""
-    import dataclasses
+def _call_parameters() -> dict[str, set[str]]:
+    """(callable name -> parameter names) of every checked call."""
+    import inspect
 
-    from repro.baselines import GAConfig
+    from repro.baselines import GAConfig, random_search
     from repro.core import SEConfig
-    from repro.optim import SAConfig, TabuConfig
+    from repro.optim import EvaluationService, SAConfig, TabuConfig
+    from repro.schedule import make_simulator
+    from repro.stochastic import ScenarioEvaluator
 
     return {
-        cls.__name__: {f.name for f in dataclasses.fields(cls)}
-        for cls in (SEConfig, GAConfig, SAConfig, TabuConfig)
+        fn.__name__: set(inspect.signature(fn).parameters)
+        for fn in (
+            SEConfig,
+            GAConfig,
+            SAConfig,
+            TabuConfig,
+            make_simulator,
+            EvaluationService,
+            ScenarioEvaluator,
+            random_search,
+        )
     }
 
 
-def check_config_keywords(doc: Path, text: str, fields) -> list[str]:
-    """Config-constructor keywords in *text* that name no dataclass field."""
+def _top_level_args(text: str, start: int) -> str:
+    """The argument text of the call opened just before *start*, with
+    nested brackets cut out.  Ends at the closing parenthesis, or at a
+    backtick or blank line for a mention that never closes."""
+    depth = 0
+    out = []
+    for i in range(start, len(text)):
+        c = text[i]
+        if c == "`" or text.startswith("\n\n", i):
+            break
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def check_call_keywords(doc: Path, text: str, params) -> list[str]:
+    """Keywords in *text* that name no parameter of the called function."""
     errors = []
-    for cls, args in _CONFIG_CALL.findall(text):
-        for name in _KEYWORD.findall(args):
-            if name not in fields[cls]:
+    for m in _CALL.finditer(text):
+        fn = m.group(1)
+        for name in _KEYWORD.findall(_top_level_args(text, m.end())):
+            if name not in params[fn]:
                 errors.append(
-                    f"{doc.relative_to(REPO)}: {cls} has no field "
-                    f"{name!r} (in `{cls}({name}=`)"
+                    f"{doc.relative_to(REPO)}: {fn} has no parameter "
+                    f"{name!r} (in `{fn}({name}=`)"
                 )
     return errors
 
@@ -247,7 +287,7 @@ def check_module_paths(doc: Path, text: str) -> list[str]:
 
 def run(documents=DOCUMENTS) -> list[str]:
     surface = _parser_surface()
-    fields = _config_fields()
+    params = _call_parameters()
     errors = []
     for name in documents:
         doc = REPO / name
@@ -257,7 +297,7 @@ def run(documents=DOCUMENTS) -> list[str]:
         text = doc.read_text()
         errors += check_links(doc, text)
         errors += check_cli_references(doc, text, surface)
-        errors += check_config_keywords(doc, text, fields)
+        errors += check_call_keywords(doc, text, params)
         errors += check_module_paths(doc, text)
     return errors
 
@@ -281,13 +321,19 @@ def self_test() -> None:
     # fenced blocks are scanned too
     fenced = "```bash\n$ repro sweep --no-such-flag\n```\n"
     assert check_cli_references(doc, fenced, surface)
-    # config keywords must be dataclass fields, across wrapped calls too
-    fields = _config_fields()
-    assert not check_config_keywords(doc, "`SEConfig(network=...)`", fields)
-    assert check_config_keywords(doc, "`SEConfig(no_such_field=...)`", fields)
+    # call keywords must be parameters, across wrapped calls too
+    params = _call_parameters()
+    assert not check_call_keywords(doc, "`SEConfig(network=...)`", params)
+    assert check_call_keywords(doc, "`SEConfig(no_such_field=...)`", params)
     wrapped = "SAConfig(\n...     seed=1,\n...     bogus_knob=2)"
-    assert check_config_keywords(doc, wrapped, fields)
-    assert not check_config_keywords(doc, "TabuConfig(tenure=7)", fields)
+    assert check_call_keywords(doc, wrapped, params)
+    assert not check_call_keywords(doc, "TabuConfig(tenure=7)", params)
+    assert check_call_keywords(doc, "`make_simulator(w, bogus=1)`", params)
+    assert not check_call_keywords(doc, "`make_simulator(w, platform='spot')`", params)
+    # ... but a nested call's keywords are not the outer call's
+    nested = "`ScenarioEvaluator(sample_scenarios(w, d, 512, seed=17))`"
+    assert not check_call_keywords(doc, nested, params)
+    assert check_call_keywords(doc, "`EvaluationService(w, f(x=1), bad=2)`", params)
     # dotted repro. paths must resolve: submodules, attributes, calls
     assert not check_module_paths(doc, "`repro.analysis.grid.run_grid`")
     assert not check_module_paths(doc, "`repro.schedule.jit.warmup()`")

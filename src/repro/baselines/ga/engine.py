@@ -15,8 +15,8 @@ the plain scalar loop:
 
 * **batch** (default on backends with a vectorized kernel, i.e. the
   contention-free model): every unevaluated chromosome of a generation
-  is scored in one :meth:`BatchBackend.batch_makespans
-  <repro.schedule.vectorized.BatchBackend.batch_makespans>` sweep — the
+  is scored in one :meth:`EvaluationService.batch_makespans
+  <repro.optim.evaluation.EvaluationService.batch_makespans>` sweep — the
   whole population advances through the NumPy kernel together (see
   ``GAConfig.batch_fitness``);
 * **incremental** (the fallback, e.g. under the ``"nic"`` backend): a
@@ -154,7 +154,6 @@ class GeneticAlgorithm:
         service = EvaluationService(
             workload,
             cfg.network,
-            prefer_batch=cfg.batch_fitness,
             platform=cfg.platform,
             objective=cfg.objective,
             scenarios=cfg.scenarios,

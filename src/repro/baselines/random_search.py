@@ -89,19 +89,16 @@ def random_search(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = as_rng(seed)
-    # only pay for kernel packing when chunked scoring is requested
-    want_batch = batch_size > 1
     service = EvaluationService(
         workload,
         network,
-        prefer_batch=want_batch,
         platform=platform,
         objective=objective,
         scenarios=scenarios,
         distribution=distribution,
         scenario_seed=scenario_seed,
     )
-    use_batch = want_batch and service.is_vectorized
+    use_batch = batch_size > 1 and service.is_vectorized
     policy = StopPolicy(max_iterations=samples, time_limit=time_limit)
     watch = Stopwatch()
 

@@ -99,6 +99,14 @@ def _config(command: str, build: Callable, **params):
         raise UsageError(f"{command}: {exc}") from None
 
 
+def _csv(command: str, flag: str, text: str, convert: Callable = str) -> tuple:
+    """The items of comma-list *flag*; a bad one is a UsageError."""
+    try:
+        return tuple(convert(x.strip()) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise UsageError(f"{command}: bad {flag} {text!r}") from None
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
     w = PRESETS[args.preset](args.seed)
     print(w.describe())
@@ -165,7 +173,6 @@ def _print_risk_profile(args: argparse.Namespace, w: Workload, best) -> None:
     svc = EvaluationService(
         w,
         args.network,
-        prefer_batch=True,
         platform=args.platform,
         **_risk_params(args),
     )
@@ -274,7 +281,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     w = PRESETS[args.preset](args.seed)
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    algos = _csv("compare", "--algos", args.algos)
     print(w.describe())
     names = " and ".join(a.upper() for a in algos)
     print(
@@ -453,6 +460,10 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.iterations < 1:
+        raise UsageError(
+            f"figure: --iterations must be >= 1, got {args.iterations}"
+        )
     fig = args.id
     seed = args.seed
     iters = args.iterations
@@ -513,7 +524,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     _config("sweep", resolve_platform, platform=args.platform)
     _check_risk_flags("sweep", args)
-    algos = [a.strip().lower() for a in args.algos.split(",") if a.strip()]
+    algos = [a.lower() for a in _csv("sweep", "--algos", args.algos)]
     unknown = sorted(set(algos) - set(available_algorithms()))
     if unknown:
         raise UsageError(
@@ -575,16 +586,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if build is not None:
             _config("sweep", build, **algo.params_dict())
 
-    suite = WorkloadSuite(
+    suite = _config(
+        "sweep",
+        WorkloadSuite,
         num_tasks=args.tasks,
         num_machines=args.machines,
-        connectivities=tuple(args.connectivities.split(",")),
-        heterogeneities=tuple(args.heterogeneities.split(",")),
-        ccrs=tuple(float(c) for c in args.ccrs.split(",")),
+        connectivities=_csv("sweep", "--connectivities", args.connectivities),
+        heterogeneities=_csv("sweep", "--heterogeneities", args.heterogeneities),
+        ccrs=_csv("sweep", "--ccrs", args.ccrs, float),
         replicates=args.replicates,
         seed=args.suite_seed,
     )
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _csv("sweep", "--seeds", args.seeds, int)
     spec = ExperimentSpec(
         name=args.name,
         algorithms=algorithms,
@@ -655,12 +668,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             "pareto: the uniform platform has no billing table (cost is "
             "identically 0) — pick a priced catalog, e.g. --platform spot"
         )
-    try:
-        weights = sorted(
-            float(x) for x in args.weights.split(",") if x.strip()
-        )
-    except ValueError:
-        raise UsageError(f"pareto: bad --weights {args.weights!r}")
+    weights = sorted(_csv("pareto", "--weights", args.weights, float))
     if not weights or not all(0.0 <= wc <= 1.0 for wc in weights):
         raise UsageError("pareto: --weights must be numbers in [0, 1]")
 
@@ -684,7 +692,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         service = EvaluationService(
             w,
             args.network,
-            prefer_batch=False,
             platform=args.platform,
             objective=objective,
             pareto=tracker,
@@ -808,7 +815,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             engine=args.reopt,
             max_iterations=args.reopt_budget,
         )
-    template = WorkloadSpec(
+    template = _config(
+        "serve",
+        WorkloadSpec,
         num_tasks=args.tasks,
         num_machines=args.machines,
         connectivity=args.connectivity,

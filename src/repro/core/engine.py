@@ -117,12 +117,10 @@ class SimulatedEvolution:
         graph = workload.graph
         # The backend is the objective: "nic" makes every probe, commit
         # and best-makespan account for NIC serialisation; a non-default
-        # platform/objective makes them cost-aware.  Allocation probes
-        # one candidate at a time (delta + cutoff), so no batch kernel.
+        # platform/objective makes them cost-aware.
         service = EvaluationService(
             workload,
             cfg.network,
-            prefer_batch=False,
             platform=cfg.platform,
             objective=cfg.objective,
             scenarios=cfg.scenarios,

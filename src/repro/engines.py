@@ -64,7 +64,6 @@ class EngineEntry:
     scale: int = 1
     strides: dict = field(default_factory=dict)
     warm_start: bool = False
-    batch_scoring: bool = False  # scoring mode of a service built for it
     compare_defaults: dict = field(default_factory=dict)  # head-to-head
     extras: tuple = ()  # result attributes a runner cell reports
     variants: tuple = ()  # registry names running it on its config
@@ -177,7 +176,6 @@ ENGINES = {
             unit="iterations",
             interval=10,
             warm_start=True,
-            batch_scoring=True,
         ),
     )
 }

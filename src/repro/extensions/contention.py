@@ -226,6 +226,7 @@ class ContentionSimulator(_ScalarBackend):
         self._nic0 = _state_vector(
             initial_nic_free, self._l, "initial_nic_free"
         )
+        self._busy = self._busy or initial_nic_free is not None
 
     # ------------------------------------------------------------------
     # full evaluation

@@ -139,7 +139,6 @@ def improve_residual(
     service = EvaluationService(
         workload,
         network,
-        prefer_batch=entry.batch_scoring,
         initial_avail=initial_avail,
         initial_nic_free=initial_nic_free,
     )

@@ -207,12 +207,9 @@ class SimulatedAnnealing:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # SA scores one proposal at a time: the incremental tier is
-            # the hot path, so skip the batch kernel's packing entirely.
             service = EvaluationService(
                 workload,
                 cfg.network,
-                prefer_batch=False,
                 platform=cfg.platform,
                 objective=cfg.objective,
                 scenarios=cfg.scenarios,

@@ -1,20 +1,19 @@
 """The evaluation service: one object owning backend selection and cost.
 
 Before this module every engine hand-wired the scoring stack itself —
-``make_simulator(..., batch=...)``, an ``is_vectorized`` sniff, direct
-``BatchBackend`` calls, its own ``evaluations`` arithmetic.
+its own backend construction, an ``is_vectorized`` sniff, direct kernel
+calls, its own ``evaluations`` arithmetic.
 :class:`EvaluationService` centralises all of it:
 
 * **backend selection** — the ``network`` name resolves through
-  :func:`repro.schedule.backend.make_simulator` exactly once (with the
-  batch wrapper when ``prefer_batch`` is set), so single, delta and
-  batch scoring share one backend instance;
+  :func:`repro.schedule.backend.make_simulator` exactly once, so
+  single, delta and batch scoring share one backend instance;
 * **transparent routing** — :meth:`batch_makespans` /
-  :meth:`batch_string_makespans` run the network's vectorized kernel,
-  or a sequential scalar loop under ``prefer_batch=False`` or initial
-  machine state;
+  :meth:`batch_string_makespans` run the network's vectorized kernel
+  (built on the first batch call, so services that never batch never
+  pack one), or a sequential scalar loop under initial machine state;
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
-  engines never touch ``BatchBackend`` or kernel classes directly;
+  engines never touch kernel classes directly;
 * **cost accounting** — every scoring call increments one
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
   batch = one per schedule — the same arithmetic the engines used to
@@ -44,7 +43,6 @@ from repro.schedule.backend import (
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.simulator import Schedule
-from repro.schedule.vectorized import BatchBackend, SequentialBatchKernel
 
 
 class EvaluationService:
@@ -56,14 +54,6 @@ class EvaluationService:
         The MSHC problem instance.
     network:
         Simulator-backend name (see :mod:`repro.schedule.backend`).
-    prefer_batch:
-        When False the batch methods still *work* but loop the scalar
-        backend (wrapped once, here, in a
-        :class:`~repro.schedule.vectorized.SequentialBatchKernel`), and
-        :attr:`is_vectorized` reports False — engines with
-        a user-facing batch switch (``GAConfig.batch_fitness``) map it
-        here, so turning the switch off really disables the kernel
-        (including its packing cost) rather than merely hiding it.
     initial_avail, initial_nic_free:
         Optional per-machine busy state the backend is constructed
         against (see :func:`repro.schedule.backend.make_simulator`) —
@@ -121,7 +111,6 @@ class EvaluationService:
         self,
         workload: Workload,
         network: str = DEFAULT_NETWORK,
-        prefer_batch: bool = True,
         initial_avail: Optional[Sequence[float]] = None,
         initial_nic_free: Optional[Sequence[float]] = None,
         platform=DEFAULT_PLATFORM,
@@ -137,15 +126,10 @@ class EvaluationService:
         self._raw = make_simulator(
             workload,
             network,
-            batch=prefer_batch,
             initial_avail=initial_avail,
             initial_nic_free=initial_nic_free,
             platform=platform,
         )
-        if not prefer_batch:
-            self._raw = BatchBackend(
-                self._raw, SequentialBatchKernel(self._raw)
-            )
         from repro.stochastic.distributions import validate_scenario_settings
 
         self._objective, dist_spec = validate_scenario_settings(
@@ -181,7 +165,6 @@ class EvaluationService:
                     seed=scenario_seed,
                 ),
                 network=network,
-                prefer_batch=prefer_batch,
             )
             self._backend = ScenarioBackend(
                 self._raw, self._scenario, self._objective
@@ -265,8 +248,8 @@ class EvaluationService:
 
         ``jit`` means batch calls run the compiled (numba) kernels of
         :mod:`repro.schedule.jit`; ``vectorized`` the NumPy kernels;
-        ``sequential`` the scalar loop (``prefer_batch=False``, or a
-        busy-state backend).
+        ``sequential`` the scalar loop of a busy-state backend.  Known
+        before the first batch call, which is when the kernel is built.
         """
         return self._backend.kernel_tier
 

@@ -56,7 +56,7 @@ from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.schedule.scoring import CostModel, ScheduleScore
+from repro.schedule.scoring import CostModel
 
 def validate_run_target(cfg) -> None:
     """Check the fields every engine config shares (raises ValueError).
@@ -433,8 +433,8 @@ class _ScalarizedState:
 class ObjectiveBackend:
     """A backend whose every scalar is the scalarized objective.
 
-    Wraps a batch-capable backend (a
-    :class:`~repro.schedule.vectorized.BatchBackend`); built by the
+    Wraps a scalar backend (batch columns come from its
+    ``batch_scores``); built by the
     :class:`~repro.optim.evaluation.EvaluationService` when a
     non-default objective (or a Pareto tracker) is requested.  The
     default makespan objective never constructs one — the unwrapped
@@ -463,19 +463,6 @@ class ObjectiveBackend:
     # ------------------------------------------------------------------
 
     @property
-    def base(self) -> Any:
-        """The wrapped (unscalarized) backend."""
-        return self._inner
-
-    @property
-    def objective(self) -> Objective:
-        return self._objective
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self._cm
-
-    @property
     def workload(self):
         return self._inner.workload
 
@@ -487,14 +474,6 @@ class ObjectiveBackend:
         result = self._inner.evaluate(string)
         self._offer(result.makespan, self._cm.cost(string.machines), string)
         return result
-
-    def score(self, order, machine_of) -> ScheduleScore:
-        s = self._inner.score(order, machine_of)
-        self._offer(s.makespan, s.cost, (order, machine_of))
-        return s
-
-    def string_score(self, string) -> ScheduleScore:
-        return self.score(string.order, string.machines)
 
     # ------------------------------------------------------------------
     # scalarized scoring

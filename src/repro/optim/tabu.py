@@ -177,12 +177,9 @@ class TabuSearch:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # whole neighborhoods score per iteration: the batch tier is
-            # the hot path, so ask for the vectorized kernel if available
             service = EvaluationService(
                 workload,
                 cfg.network,
-                prefer_batch=True,
                 platform=cfg.platform,
                 objective=cfg.objective,
                 scenarios=cfg.scenarios,

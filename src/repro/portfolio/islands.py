@@ -140,7 +140,7 @@ def run_island(
     import time
 
     from repro.portfolio.exchange import IncumbentExchange
-    from repro.schedule.backend import kernel_tier
+    from repro.schedule.backend import make_simulator
 
     exchange = None
     if channel is not None:
@@ -162,6 +162,10 @@ def run_island(
         if exchange is not None:
             exchange.finish()
     runtime = time.perf_counter() - t0
+    # the tier the island's backend scores batches on (no kernel is
+    # built): boot-delay platforms are initial state, so "sequential"
+    params = spec.params
+    backend = make_simulator(workload, params["network"], platform=params["platform"])
 
     return IslandOutcome(
         island=spec.island,
@@ -175,7 +179,7 @@ def run_island(
         iterations=entry.iterations_of(res),
         evaluations=res.evaluations,
         stopped_by=res.stopped_by,
-        kernel_tier=kernel_tier(spec.params.get("network", "contention-free")),
+        kernel_tier=backend.kernel_tier,
         published=exchange.published if exchange is not None else 0,
         received=exchange.received if exchange is not None else 0,
         start_offset=offset,

@@ -6,8 +6,8 @@
 * :class:`Simulator` — the deterministic cost model (string → makespan);
 * :mod:`~repro.schedule.backend` — simulator backends keyed by
   network-model name (``"contention-free"`` | ``"nic"``);
-* :class:`BatchSimulator` / :class:`BatchBackend` — the vectorized
-  batch-evaluation tier (``make_simulator(..., batch=True)``);
+* :class:`BatchSimulator` — the vectorized batch-evaluation tier
+  (every backend's ``batch_*`` methods build one on first use);
 * :class:`Timeline` / :func:`verify_schedule` — Gantt views and full
   constraint checking;
 * :mod:`~repro.schedule.metrics` — SLR, speedup, utilisation, comm volume;
@@ -58,11 +58,7 @@ from repro.schedule.simulator import (
     evaluate_schedule,
 )
 from repro.schedule.timeline import MachineSpan, Timeline, verify_schedule
-from repro.schedule.vectorized import (
-    BatchBackend,
-    BatchSimulator,
-    SequentialBatchKernel,
-)
+from repro.schedule.vectorized import BatchSimulator, SequentialBatchKernel
 from repro.schedule.valid_range import (
     assert_in_valid_range,
     machine_slot_indices,
@@ -85,7 +81,6 @@ __all__ = [
     "BatchScores",
     "CostModel",
     "ScheduleScore",
-    "BatchBackend",
     "BatchSimulator",
     "SequentialBatchKernel",
     "ScheduleString",

@@ -284,8 +284,8 @@ def batch_kernel_factory(network: str) -> type:
     NumPy kernel.  For callers that build kernels directly against
     pre-packed tensors (the scenario tier constructs one kernel per
     sampled scenario, sharing DAG-structure tables across them);
-    everyone else should go through :func:`make_simulator` with
-    ``batch=True``.
+    everyone else calls a backend's ``batch_*`` methods, which build
+    the kernel on first use.
 
     Raises
     ------
@@ -301,15 +301,14 @@ def batch_kernel_factory(network: str) -> type:
 
 
 def kernel_tier(network: str) -> str:
-    """The batch tier ``make_simulator(..., batch=True)`` selects now.
+    """The tier an idle backend of *network* runs its batch calls on.
 
     ``"jit"`` when the compiled tier is selected, else ``"vectorized"``
     (see :func:`batch_kernel_factory`).  Backends constructed with
     initial machine state run ``"sequential"`` regardless of this answer
-    (the kernels pack idle machines), and so does an
-    :class:`~repro.optim.evaluation.EvaluationService` built with
-    ``prefer_batch=False``.  Surfaced by ``repro algorithms`` and
-    ``repro run --verbose`` so the active tier is visible, not guessed.
+    (the kernels pack idle machines); a backend's own ``kernel_tier``
+    knows which.  Surfaced by ``repro algorithms`` and ``repro run
+    --verbose`` so the active tier is visible, not guessed.
 
     Raises
     ------
@@ -322,43 +321,40 @@ def kernel_tier(network: str) -> str:
 def make_simulator(
     workload: Workload,
     network: str = DEFAULT_NETWORK,
-    batch: bool = False,
     initial_avail: Optional[Sequence[float]] = None,
     initial_nic_free: Optional[Sequence[float]] = None,
     platform=DEFAULT_PLATFORM,
 ) -> SimulatorBackend:
     """A simulator backend for *workload* under the *network* model.
 
-    With ``batch=True`` the scalar backend is wrapped in a
-    :class:`~repro.schedule.vectorized.BatchBackend` that additionally
-    offers ``batch_makespans(orders, machines)`` /
-    ``batch_string_makespans(strings)`` through the kernel of
-    :func:`batch_kernel_factory`: compiled :mod:`~repro.schedule.jit`
-    kernels when numba imports (override with
-    ``REPRO_KERNEL=numpy|jit``), else the NumPy kernel
+    Besides the scalar and incremental tiers, every backend scores
+    batches: ``batch_makespans(orders, machines)`` /
+    ``batch_string_makespans(strings)`` and the ``batch_scores`` pair
+    run on a kernel the backend builds on its first batch call —
+    compiled :mod:`~repro.schedule.jit` kernels when numba imports
+    (override with ``REPRO_KERNEL=numpy|jit``), else the NumPy kernel
     (:class:`~repro.schedule.vectorized.BatchSimulator` for
     ``"contention-free"``, :class:`~repro.schedule.vectorized_contention.
     ContentionBatchSimulator` for ``"nic"``).  All tiers are
-    bit-identical.  Scalar-tier methods are forwarded without overhead,
-    so a batch-wrapped backend is a drop-in :class:`SimulatorBackend`.
+    bit-identical; a backend never asked for a batch never packs one.
 
     ``initial_avail`` (and, for ``"nic"`` only, ``initial_nic_free``)
     construct the backend against machines that are already busy with
     earlier work — the substrate of the online scheduling service
     (:mod:`repro.online`).  Because the vectorized kernels pack
-    idle-machine state, a batch request with initial state always runs
-    the :class:`~repro.schedule.vectorized.SequentialBatchKernel`
+    idle-machine state, batch calls with initial state always run the
+    :class:`~repro.schedule.vectorized.SequentialBatchKernel`
     (``kernel_tier`` reports ``"sequential"``), keeping results exact.
 
     ``platform`` selects a :class:`~repro.model.platform.PlatformSpec`
     by name (or takes one directly): the backend is built against the
     speed-scaled execution matrix, with boot delays as initial state (so
     platforms with boot also take the sequential kernel) and the billing
-    table attached — its ``score`` / ``string_score`` and, under
-    ``batch=True``, ``batch_scores`` then report dollar cost next to
-    makespan.  The default ``"uniform"`` platform leaves the workload
-    object and the initial state untouched and attaches no billing
-    table, so it is bit-identical to the historical path.
+    table attached — its ``score`` / ``string_score`` and
+    ``batch_scores`` then report dollar cost next to makespan.  The
+    default ``"uniform"`` platform leaves the workload object and the
+    initial state untouched and attaches no billing table, so it is
+    bit-identical to the historical path.
 
     Raises
     ------
@@ -380,18 +376,9 @@ def make_simulator(
             workload.exec_times.values, spec.bind(workload.num_machines).prices
         )
     nic_state = {"initial_nic_free": initial_nic_free} if key == NIC_NETWORK else {}
-    scalar = impl.backend(
+    return impl.backend(
         workload, initial_avail=initial_avail, cost_model=cost_model, **nic_state
     )
-    if not batch:
-        return scalar
-    from repro.schedule.vectorized import BatchBackend, SequentialBatchKernel
-
-    if initial_avail is None and initial_nic_free is None:
-        kernel = batch_kernel_factory(key)(workload, cost_model=cost_model)
-    else:
-        kernel = SequentialBatchKernel(scalar)
-    return BatchBackend(scalar, kernel)
 
 
 def plain_schedule(evaluated: Any) -> Schedule:

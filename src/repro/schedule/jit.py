@@ -13,15 +13,15 @@ in a batch is independent, so rows shard perfectly across cores).
 Kernel tiers and selection
 --------------------------
 
-``make_simulator(w, network, batch=True)`` picks the best available
-tier per network:
+A backend's batch calls (``batch_makespans`` and friends) run on the
+best available tier of its network:
 
 1. ``jit``        — this module's compiled kernels (both built-in
    networks), auto-selected when :mod:`numba` imports;
 2. ``vectorized`` — the NumPy kernels, the fallback when numba is
    absent (this repo never *requires* numba — it is an extra);
 3. ``sequential`` — a scalar loop, for backends carrying initial
-   machine state (and services built with ``prefer_batch=False``).
+   machine state.
 
 The environment variable ``REPRO_KERNEL`` overrides the choice for
 debugging and CI: ``REPRO_KERNEL=numpy`` pins the NumPy tier even with

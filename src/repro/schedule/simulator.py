@@ -38,11 +38,13 @@ cycles per iteration) and of the GA's mutation-only offspring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.scoring import CostModel, ScheduleScore
+from repro.schedule.scoring import BatchScores, CostModel, ScheduleScore
 
 
 class InvalidScheduleError(ValueError):
@@ -183,10 +185,16 @@ class _ScalarBackend:
 
     The workload tables every walk reads (``_E``, ``_tr``, the per-
     consumer ``_in_edges``, the initial availability ``_avail0``) and
-    the tiers built on a backend's ``makespan``: string convenience and
-    the ``(makespan, cost, busy)`` score.  Cost billing is per-task busy
-    time, the same arithmetic under every network model — only the
-    makespan component differs.
+    the tiers built on a backend's ``makespan``: string convenience, the
+    ``(makespan, cost, busy)`` score and the batch tier.  Cost billing
+    is per-task busy time, the same arithmetic under every network
+    model — only the makespan component differs.
+
+    The batch tier runs on a kernel built on the first batch call (a
+    backend never asked for a batch never packs one): the network's
+    active-tier kernel, or a :class:`~repro.schedule.vectorized.
+    SequentialBatchKernel` looping this backend when it was given
+    initial machine state, which the vectorized kernels cannot take.
     """
 
     __slots__ = (
@@ -198,6 +206,8 @@ class _ScalarBackend:
         "_in_edges",
         "_avail0",
         "_cost_model",
+        "_busy",
+        "_kernel",
     )
 
     def __init__(
@@ -214,6 +224,8 @@ class _ScalarBackend:
         self._E = workload.exec_times.values.tolist()
         self._tr = workload.transfer_times.values.tolist()
         self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
+        self._busy = initial_avail is not None
+        self._kernel = None
         # Per consumer: tuple of (producer, item) pairs, the data inputs.
         in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
         for d in graph.data_items:
@@ -253,6 +265,60 @@ class _ScalarBackend:
     def string_score(self, string: ScheduleString) -> ScheduleScore:
         """:meth:`score` of an encoded :class:`ScheduleString`."""
         return self.score(string.order, string.machines)
+
+    # ------------------------------------------------------------------
+    # batch tier
+    # ------------------------------------------------------------------
+
+    def _kernel_class(self) -> type:
+        # function-local: repro.schedule.backend imports this module
+        from repro.schedule.backend import batch_kernel_factory, network_table
+        from repro.schedule.vectorized import SequentialBatchKernel
+
+        if self._busy:
+            return SequentialBatchKernel
+        for name, impl in network_table().items():
+            if isinstance(self, impl.backend):
+                return batch_kernel_factory(name)
+
+    @property
+    def kernel_tier(self) -> str:
+        """The tier batch calls run on: ``"jit"``, ``"vectorized"`` or
+        ``"sequential"``; answered without building a kernel."""
+        return (self._kernel or self._kernel_class()).kernel_tier
+
+    def _batch_kernel(self) -> Any:
+        if self._kernel is None:
+            cls = self._kernel_class()
+            self._kernel = (
+                cls(self)
+                if self._busy
+                else cls(self._workload, cost_model=self._cost_model)
+            )
+        return self._kernel
+
+    def batch_makespans(
+        self, orders: Any, machines: Any, validate: bool = True
+    ) -> np.ndarray:
+        """Makespans of a ``(B, k)`` batch; see :meth:`~repro.schedule.
+        vectorized.BatchKernel.makespans`."""
+        return self._batch_kernel().makespans(orders, machines, validate=validate)
+
+    def batch_string_makespans(
+        self, strings: Sequence[ScheduleString], validate: bool = True
+    ) -> np.ndarray:
+        return self._batch_kernel().string_makespans(strings, validate=validate)
+
+    def batch_scores(
+        self, orders: Any, machines: Any, validate: bool = True
+    ) -> BatchScores:
+        """Batch ``(makespans, costs)`` columns."""
+        return self._batch_kernel().scores(orders, machines, validate=validate)
+
+    def batch_string_scores(
+        self, strings: Sequence[ScheduleString], validate: bool = True
+    ) -> BatchScores:
+        return self._batch_kernel().string_scores(strings, validate=validate)
 
 
 class Simulator(_ScalarBackend):

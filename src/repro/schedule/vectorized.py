@@ -748,12 +748,11 @@ class SequentialBatchKernel:
     """The batch API as a loop over a scalar backend.
 
     The kernel of backends carrying initial machine state (the
-    vectorized kernels pack idle machines) and of an
-    :class:`~repro.optim.evaluation.EvaluationService` built with
-    ``prefer_batch=False``, so batch-aware callers stay on one code
-    path.  Batch shapes are checked as in :class:`BatchKernel`, and
-    machine ranges under *validate*; the scalar backend performs its
-    own precedence checks.
+    vectorized kernels pack idle machines), so batch-aware callers stay
+    on one code path.  Under *validate*, batch shapes and machine
+    ranges are checked as in :class:`BatchKernel` — for
+    :class:`ScheduleString` input too; the scalar backend performs its
+    own precedence checks.  ``validate=False`` is a plain loop.
     """
 
     kernel_tier = "sequential"
@@ -783,9 +782,15 @@ class SequentialBatchKernel:
         spans = [makespan(o, m) for o, m in zip(orders, machines)]
         return np.array(spans, dtype=float)
 
+    def _check_strings(self, strings: Sequence[ScheduleString]) -> None:
+        """Apply :meth:`makespans`' input checks to *strings*."""
+        self._rows([s.order for s in strings], [s.machines for s in strings], True)
+
     def string_makespans(
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> np.ndarray:
+        if validate:
+            self._check_strings(strings)
         return np.array(
             [self._backend.string_makespan(s) for s in strings],
             dtype=float,
@@ -802,6 +807,8 @@ class SequentialBatchKernel:
     def string_scores(
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> BatchScores:
+        if validate:
+            self._check_strings(strings)
         score = self._backend.string_score
         return _stack_scores([score(s) for s in strings])
 
@@ -812,99 +819,3 @@ def _stack_scores(triples: list) -> BatchScores:
         np.array([s.makespan for s in triples], dtype=float),
         np.array([s.cost for s in triples], dtype=float),
     )
-
-
-class BatchBackend:
-    """A scalar :class:`SimulatorBackend` extended with batch scoring.
-
-    Produced by ``make_simulator(workload, network, batch=True)``.
-    Scalar-tier methods (``makespan``, ``prepare``, ``evaluate_delta``,
-    ...) are bound straight from the wrapped backend, so the incremental
-    hot path pays zero delegation overhead; the ``batch_*`` methods go
-    through the kernel — a vectorized or compiled one, or a
-    :class:`SequentialBatchKernel` over the scalar backend.
-    """
-
-    _FORWARDED = (
-        "makespan",
-        "string_makespan",
-        "evaluate",
-        "prepare",
-        "evaluate_delta",
-        "score",
-        "string_score",
-    )
-
-    def __init__(self, scalar: Any, kernel: Any):
-        self._scalar = scalar
-        self._kernel = kernel
-        for name in self._FORWARDED:
-            setattr(self, name, getattr(scalar, name))
-
-    @property
-    def workload(self) -> Workload:
-        return self._scalar.workload
-
-    @property
-    def kernel_tier(self) -> str:
-        """The wrapped kernel's tier: ``"jit"``, ``"vectorized"`` or
-        ``"sequential"`` — a fact about the kernel, surfaced so the CLI
-        can report the tier a run actually executes on."""
-        return self._kernel.kernel_tier
-
-    @property
-    def is_vectorized(self) -> bool:
-        """True when batch calls run a vectorized or compiled kernel.
-
-        Read-only, derived from :attr:`kernel_tier`; surfaced by ``repro
-        algorithms`` and ``repro run --verbose`` so a sequential loop is
-        visible instead of silent.
-        """
-        return self.kernel_tier != "sequential"
-
-    @property
-    def scalar_backend(self) -> Any:
-        """The wrapped scalar backend (for tests and introspection)."""
-        return self._scalar
-
-    @property
-    def kernel(self) -> Any:
-        """The batch kernel."""
-        return self._kernel
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The scalar backend's platform billing table (``None`` → the
-        zero model of the uniform platform)."""
-        return self._scalar.cost_model
-
-    def batch_makespans(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> np.ndarray:
-        """Batch of makespans; see :meth:`BatchSimulator.makespans`."""
-        return self._kernel.makespans(orders, machines, validate=validate)
-
-    def batch_string_makespans(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> np.ndarray:
-        """Batch of makespans over :class:`ScheduleString` objects."""
-        return self._kernel.string_makespans(strings, validate=validate)
-
-    def batch_scores(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> BatchScores:
-        """Batch ``(makespans, costs)``; cost stays vectorized whenever
-        the kernel does (one gather + row sum per batch)."""
-        return self._kernel.scores(orders, machines, validate=validate)
-
-    def batch_string_scores(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> BatchScores:
-        """:meth:`batch_scores` over :class:`ScheduleString` objects."""
-        return self._kernel.string_scores(strings, validate=validate)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchBackend({type(self._scalar).__name__}, "
-            f"{self.kernel_tier} batch)"
-        )

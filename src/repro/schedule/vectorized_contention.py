@@ -57,8 +57,8 @@ Two exactness notes, both load-bearing for bit-identity:
   reads exactly.
 
 It is the ``"nic"`` entry's NumPy kernel in
-:func:`~repro.schedule.backend.network_table`, so
-``make_simulator(w, "nic", batch=True)``, the
+:func:`~repro.schedule.backend.network_table`, so a
+``"nic"`` backend's ``batch_*`` methods, the
 :class:`~repro.optim.evaluation.EvaluationService`, GA population
 fitness, ``random_search(batch_size=...)`` and tabu's neighborhood
 scoring all pick it up with zero call-site changes.

@@ -6,16 +6,15 @@ engine for that: scoring B schedules under scenario ``s`` is one
 ``batch_string_makespans`` call against a kernel built from scenario
 ``s``'s matrices, so the full ``(S, B)`` matrix is ``S`` kernel sweeps —
 no new walk code, and both network models (``"contention-free"`` and
-``"nic"``) come for free.  Callers that disable batching get one
-:class:`~repro.schedule.vectorized.SequentialBatchKernel` per scenario
-instead — an ``S × B`` scalar loop, bit-identical.
+``"nic"``) come for free.  A single schedule skips the kernels: its
+``(S,)`` vector is one scalar walk per scenario, bit-identical.
 
 Two classes:
 
-* :class:`ScenarioEvaluator` — owns the per-scenario kernels (one per
-  scenario; DAG-structure tables are shared across them via
-  ``WorkloadPack(w_s, like=base)``, since only the matrices differ) and
-  produces scenario-makespan vectors/matrices;
+* :class:`ScenarioEvaluator` — owns the per-scenario scalar backends
+  and kernels (one per scenario; the kernels share DAG-structure tables
+  via ``WorkloadPack(w_s, like=base)``, since only the matrices differ)
+  and produces scenario-makespan vectors/matrices;
 * :class:`ScenarioBackend` — the
   :class:`~repro.schedule.backend.SimulatorBackend`-shaped wrapper the
   :class:`~repro.optim.evaluation.EvaluationService` installs for
@@ -54,7 +53,7 @@ from repro.schedule.backend import (
     make_simulator,
 )
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.vectorized import SequentialBatchKernel, WorkloadPack
+from repro.schedule.vectorized import WorkloadPack
 from repro.stochastic.distributions import ScenarioSet
 
 __all__ = ["ScenarioEvaluator", "ScenarioBackend"]
@@ -63,8 +62,15 @@ _INF = float("inf")
 
 
 class ScenarioEvaluator:
-    """Scores schedule batches under every scenario of a
+    """Scores schedules under every scenario of a
     :class:`~repro.stochastic.distributions.ScenarioSet`.
+
+    The input's shape picks the path: one schedule (:meth:`samples`)
+    walks each scenario's scalar backend once; a batch (:meth:`matrix`)
+    runs one kernel of the network's active tier per scenario, built on
+    the first batch call with the DAG-structure tables shared across
+    scenarios.  Both are bit-identical to a simulator built from each
+    scenario's matrices.
 
     Parameters
     ----------
@@ -74,39 +80,17 @@ class ScenarioEvaluator:
     network:
         Simulator-backend name; scenario walks run under this network
         model, exactly like deterministic scoring.
-    prefer_batch:
-        When True (default), one kernel of the network's active tier per
-        scenario scores whole batches in NumPy sweeps; when False, one
-        sequential kernel per scenario loops the scalar backend
-        (bit-identical, just slower — surfaced by :attr:`is_vectorized`).
     """
 
-    __slots__ = ("_set", "_network", "_kernels")
+    __slots__ = ("_set", "_network", "_backends", "_kernels")
 
     def __init__(
-        self,
-        scenario_set: ScenarioSet,
-        network: str = DEFAULT_NETWORK,
-        prefer_batch: bool = True,
+        self, scenario_set: ScenarioSet, network: str = DEFAULT_NETWORK
     ):
         self._set = scenario_set
         self._network = network
-        workloads = [
-            scenario_set.workload_for(s) for s in range(scenario_set.scenarios)
-        ]
-        if prefer_batch:
-            factory = batch_kernel_factory(network)
-            base_pack: Optional[WorkloadPack] = None
-            self._kernels = []
-            for w_s in workloads:
-                pack = WorkloadPack(w_s, like=base_pack)
-                base_pack = base_pack or pack
-                self._kernels.append(factory(w_s, pack=pack))
-        else:
-            self._kernels = [
-                SequentialBatchKernel(make_simulator(w_s, network))
-                for w_s in workloads
-            ]
+        self._backends: Optional[list] = None
+        self._kernels: Optional[list] = None
 
     # ------------------------------------------------------------------
     # identity
@@ -132,14 +116,12 @@ class ScenarioEvaluator:
 
     @property
     def kernel_tier(self) -> str:
-        """The tier of the per-scenario kernels (``jit``/``vectorized``)
-        or ``sequential`` when scoring loops the scalar backends."""
-        return self._kernels[0].kernel_tier
+        """The tier of the per-scenario batch kernels (``jit`` /
+        ``vectorized``)."""
+        return batch_kernel_factory(self._network).kernel_tier
 
-    @property
-    def is_vectorized(self) -> bool:
-        """True when scenario sweeps run a vectorized or compiled kernel."""
-        return self.kernel_tier != "sequential"
+    def _workloads(self) -> list:
+        return [self._set.workload_for(s) for s in range(self.scenarios)]
 
     # ------------------------------------------------------------------
     # scoring
@@ -156,6 +138,14 @@ class ScenarioEvaluator:
         precedence checks) runs once, on the first scenario: validity
         is a property of the strings, not of the matrices.
         """
+        if self._kernels is None:
+            factory = batch_kernel_factory(self._network)
+            base_pack: Optional[WorkloadPack] = None
+            self._kernels = []
+            for w_s in self._workloads():
+                pack = WorkloadPack(w_s, like=base_pack)
+                base_pack = base_pack or pack
+                self._kernels.append(factory(w_s, pack=pack))
         return np.stack(
             [
                 kernel.makespans(orders, machines, validate=validate and s == 0)
@@ -177,7 +167,14 @@ class ScenarioEvaluator:
         self, order: Sequence[int], machine_of: Sequence[int]
     ) -> np.ndarray:
         """One schedule's ``(S,)`` scenario-makespan vector."""
-        return self.matrix([list(order)], [list(machine_of)])[:, 0]
+        if self._backends is None:
+            self._backends = [
+                make_simulator(w_s, self._network) for w_s in self._workloads()
+            ]
+        return np.array(
+            [b.makespan(order, machine_of) for b in self._backends],
+            dtype=float,
+        )
 
     def samples_string(self, string: ScheduleString) -> np.ndarray:
         """:meth:`samples` for a :class:`ScheduleString`."""
@@ -213,17 +210,8 @@ class ScenarioBackend:
     # ------------------------------------------------------------------
 
     @property
-    def base(self) -> Any:
-        """The wrapped nominal backend."""
-        return self._nominal
-
-    @property
     def objective(self) -> ScenarioObjective:
         return self._objective
-
-    @property
-    def evaluator(self) -> ScenarioEvaluator:
-        return self._evaluator
 
     @property
     def workload(self):
@@ -289,10 +277,4 @@ class ScenarioBackend:
     ) -> np.ndarray:
         return self._objective.reduce_matrix(
             self._evaluator.string_matrix(strings, validate=validate)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ScenarioBackend({self._objective.name}, "
-            f"S={self._evaluator.scenarios})"
         )

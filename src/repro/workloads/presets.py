@@ -76,6 +76,26 @@ class WorkloadSpec:
     t_arrival: float = 0.0
     distribution: str = "deterministic"
 
+    def __post_init__(self):
+        # reject a bad recipe when it is written, not when a runner
+        # cell or an online stream first builds it
+        for name in ("num_tasks", "num_machines"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.connectivity not in CONNECTIVITY_EDGES_PER_TASK:
+            raise ValueError(
+                f"unknown connectivity {self.connectivity!r}; expected one of "
+                f"{sorted(CONNECTIVITY_EDGES_PER_TASK)}"
+            )
+        heterogeneity_factor(self.heterogeneity)
+        if not self.ccr >= 0:
+            raise ValueError(f"ccr must be >= 0, got {self.ccr}")
+        if self.distribution != "deterministic":
+            # metadata-only, but fail fast on typos instead of at run time
+            from repro.stochastic.distributions import resolve_distribution
+
+            resolve_distribution(self.distribution)
+
     def size_class(self) -> str:
         """The paper's small/large vocabulary (threshold at 50 subtasks)."""
         return "small" if self.num_tasks < 50 else "large"
@@ -86,16 +106,6 @@ class WorkloadSpec:
 
 def build_workload(spec: WorkloadSpec) -> Workload:
     """Materialise *spec* into a :class:`Workload`."""
-    if spec.connectivity not in CONNECTIVITY_EDGES_PER_TASK:
-        raise ValueError(
-            f"unknown connectivity {spec.connectivity!r}; expected one of "
-            f"{sorted(CONNECTIVITY_EDGES_PER_TASK)}"
-        )
-    if spec.distribution != "deterministic":
-        # metadata-only, but fail fast on typos instead of at run time
-        from repro.stochastic.distributions import resolve_distribution
-
-        resolve_distribution(spec.distribution)
     rng_graph, rng_exec, rng_tr = spawn_rngs(spec.seed, 3)
 
     graph = layered_dag(

@@ -31,9 +31,11 @@ class TestRouting:
         assert EvaluationService(workload, "nic").is_vectorized is True
 
     def test_unkernelled_network_falls_back_sequential(self, workload):
-        # without a kernel the service loops the scalar backend and
-        # *visibly* reports so — the sequential path must never be silent
-        svc = EvaluationService(workload, "nic", prefer_batch=False)
+        # with initial machine state the service loops the scalar backend
+        # and *visibly* reports so — the sequential path must never be silent
+        svc = EvaluationService(
+            workload, "nic", initial_avail=[0.0] * workload.num_machines
+        )
         assert svc.is_vectorized is False
         assert svc.kernel_tier == "sequential"
         ref = ContentionSimulator(workload)
@@ -45,12 +47,6 @@ class TestRouting:
             ref.string_makespan(s) for s in strings
         ]
         assert svc.evaluations == len(strings)
-
-    def test_prefer_batch_false_disables_kernel(self, workload):
-        assert (
-            EvaluationService(workload, prefer_batch=False).is_vectorized
-            is False
-        )
 
     def test_unknown_network_rejected(self, workload):
         with pytest.raises(ValueError, match="unknown network"):
@@ -69,7 +65,9 @@ class TestRouting:
         assert got == [ref.string_makespan(s) for s in strings]
 
     def test_batch_without_wrapper_loops_scalar(self, workload, strings):
-        svc = EvaluationService(workload, prefer_batch=False)
+        svc = EvaluationService(
+            workload, initial_avail=[0.0] * workload.num_machines
+        )
         ref = Simulator(workload)
         assert svc.batch_string_makespans(strings) == [
             ref.string_makespan(s) for s in strings

@@ -136,7 +136,7 @@ class TestObjectiveBackend:
         assert svc.schedule_of(s).makespan == score.makespan
 
     def test_delta_tier_matches_full_eval(self, workload):
-        svc = self.service(workload, prefer_batch=False)
+        svc = self.service(workload)
         base, probe = strings(workload, 2, seed=3)
         state = svc.prepare(base.order, base.machines)
         got = svc.evaluate_delta(probe.order, probe.machines, 0, state)
@@ -145,7 +145,7 @@ class TestObjectiveBackend:
         )
 
     def test_delta_cutoff_prunes_exactly_non_improving(self, workload):
-        svc = self.service(workload, prefer_batch=False)
+        svc = self.service(workload)
         base, *probes = strings(workload, 12, seed=4)
         cutoff = svc.string_makespan(base)
         for p in probes:
@@ -160,7 +160,7 @@ class TestObjectiveBackend:
                 assert got == float("inf")  # the rest are pruned
 
     def test_batch_columns_scalarized(self, workload):
-        svc = self.service(workload, prefer_batch=True)
+        svc = self.service(workload)
         assert svc.is_vectorized  # spot has no boot: kernel stays on
         ss = strings(workload, 8, seed=5)
         batch = svc.batch_string_makespans(ss)
@@ -197,7 +197,6 @@ class TestCostAwareEngines:
                 workload,
                 platform="spot",
                 objective=objective,
-                prefer_batch=False,
             )
             res = run(
                 workload,

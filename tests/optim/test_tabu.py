@@ -132,7 +132,7 @@ class TestTabuMechanics:
     ):
         """The acceptance criterion: neighborhoods are scored via
         EvaluationService.batch_string_makespans, never by direct
-        BatchBackend calls."""
+        calls on the backend or its kernel."""
         calls = {"n": 0, "sizes": []}
         original = EvaluationService.batch_string_makespans
 

@@ -9,6 +9,7 @@ from repro.portfolio import (
     run_island,
 )
 from repro.runner.spec import derive_seed
+from repro.schedule.backend import kernel_tier
 from repro.workloads import small_workload
 
 ENGINE_KINDS = tuple(ENGINES)
@@ -128,6 +129,20 @@ class TestRunIsland:
         assert costs == sorted(costs, reverse=True)
         assert len(set(costs)) == len(costs)
         assert costs and costs[-1] == out.best_makespan
+
+    @pytest.mark.parametrize(
+        "platform, network",
+        [("cloud", "contention-free"), ("uniform", "contention-free"),
+         ("uniform", "nic")],
+    )
+    def test_reports_the_tier_its_backend_scores_on(self, platform, network):
+        (spec,) = build_islands(
+            ("tabu",), 1, 3, None, 2, network, platform
+        )
+        out = run_island(spec, small_workload(seed=3))
+        # boot delays are initial state: the batches run sequentially
+        want = "sequential" if platform == "cloud" else kernel_tier(network)
+        assert out.kernel_tier == want
 
     def test_channel_wires_exchange_counters(self):
         channel = LocalChannel()

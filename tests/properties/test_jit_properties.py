@@ -154,7 +154,7 @@ class TestForcedFallback:
                 ("contention-free", JitBatchSimulator),
                 ("nic", JitContentionBatchSimulator),
             ):
-                backend = make_simulator(w, network, batch=True)
+                backend = make_simulator(w, network)
                 assert backend.kernel_tier == "vectorized"
                 got = backend.batch_string_makespans(strings)
                 want = jit_cls(w).string_makespans(strings)

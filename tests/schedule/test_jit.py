@@ -105,9 +105,8 @@ class TestTierSelection:
     def test_make_simulator_builds_jit_backend(self, network, w, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        backend = make_simulator(w, network, batch=True)
+        backend = make_simulator(w, network)
         assert backend.kernel_tier == "jit"
-        assert backend.is_vectorized
         s = random_valid_string(w.graph, w.num_machines, 0)
         scalar = make_simulator(w, network)
         got = backend.batch_string_makespans([s])
@@ -116,11 +115,9 @@ class TestTierSelection:
     def test_initial_state_still_routes_sequential(self, w, monkeypatch):
         """Busy-machine backends never ride a kernel, jit or numpy."""
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        backend = make_simulator(
-            w, batch=True, initial_avail=[1.0] * w.num_machines
-        )
-        assert backend.kernel_tier == "sequential"
-        assert not backend.is_vectorized
+        busy = [1.0] * w.num_machines
+        assert make_simulator(w, initial_avail=busy).kernel_tier == "sequential"
+        assert not EvaluationService(w, initial_avail=busy).is_vectorized
 
 
 class TestRegistration:
@@ -145,7 +142,7 @@ class TestServiceReporting:
         assert EvaluationService(w).kernel_tier == "jit"
 
     def test_service_sequential_when_batch_disabled(self, w):
-        svc = EvaluationService(w, prefer_batch=False)
+        svc = EvaluationService(w, initial_avail=[0.0] * w.num_machines)
         assert svc.kernel_tier == "sequential"
         assert not svc.is_vectorized
 

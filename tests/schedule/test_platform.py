@@ -158,13 +158,12 @@ class TestBootSemantics:
         assert booted.string_makespan(s) >= plain.string_makespan(s)
 
     def test_boot_routes_batch_to_sequential_fallback(self, workload):
-        assert make_simulator(workload, batch=True).is_vectorized
-        assert make_simulator(
-            workload, batch=True, platform="spot"
-        ).is_vectorized
-        assert not make_simulator(
-            workload, batch=True, platform="cloud"
-        ).is_vectorized
+        def tier(platform):
+            return make_simulator(workload, platform=platform).kernel_tier
+
+        assert tier("uniform") != "sequential"
+        assert tier("spot") != "sequential"
+        assert tier("cloud") == "sequential"
 
 
 class TestUniformBitIdentity:
@@ -193,11 +192,10 @@ class TestUniformBitIdentity:
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_batch_kernels_bit_identical(self, workload, network):
         strings = [self._string(workload, seed) for seed in range(20)]
-        plain = make_simulator(workload, network, batch=True)
-        uniform = make_simulator(
-            workload, network, batch=True, platform="uniform"
-        )
-        assert uniform.is_vectorized  # uniform never forces the fallback
+        plain = make_simulator(workload, network)
+        uniform = make_simulator(workload, network, platform="uniform")
+        # uniform never forces the fallback
+        assert uniform.kernel_tier != "sequential"
         assert (
             uniform.batch_string_makespans(strings).tolist()
             == plain.batch_string_makespans(strings).tolist()

@@ -102,7 +102,7 @@ class TestBackendIntegration:
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_batch_scores_agree_with_scalar_scores(self, workload, network):
-        sim = make_simulator(workload, network, batch=True, platform="spot")
+        sim = make_simulator(workload, network, platform="spot")
         rng = np.random.default_rng(9)
         strings = [
             random_valid_string(workload.graph, workload.num_machines, rng)

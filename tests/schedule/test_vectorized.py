@@ -2,8 +2,8 @@
 
 Covers the edge cases the property tests are unlikely to pin exactly:
 empty batches, single-task graphs, duplicate-cost ties, zero-cost
-transfers, validation errors, and the ``BatchBackend`` /
-``make_simulator(..., batch=True)`` plumbing.
+transfers, validation errors, and the plumbing of a backend's batch
+tier (the kernel it builds on its first batch call).
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from repro.model import (
 )
 from repro.optim.evaluation import EvaluationService
 from repro.schedule import (
-    BatchBackend,
     BatchSimulator,
     InvalidScheduleError,
+    ScheduleString,
     SequentialBatchKernel,
     Simulator,
     make_simulator,
     random_valid_string,
 )
+from repro.schedule.vectorized import clear_pack_cache, pack_cache_stats
 
 
 def diamond_workload(transfer: float = 4.0, num_machines: int = 3):
@@ -137,25 +138,30 @@ class TestBatchValidation:
     @pytest.mark.parametrize("path", ["vectorized", "sequential", "service"])
     def test_every_batch_path_checks_its_input(self, path, network):
         w = diamond_workload()
+        # initial machine state (even all-zero) routes through the
+        # sequential kernel, on a bare backend and through a service
+        busy = None if path == "vectorized" else [0.0, 0.0, 0.0]
         if path == "service":
-            # the kernel-less loop of a prefer_batch=False service
-            score = EvaluationService(
-                w, network, prefer_batch=False
-            ).batch_makespans
+            sim = EvaluationService(w, network, initial_avail=busy)
         else:
-            # initial machine state routes through the sequential kernel
-            busy = [0.0, 0.0, 0.0] if path == "sequential" else None
-            sim = make_simulator(w, network, batch=True, initial_avail=busy)
-            assert sim.is_vectorized == (path == "vectorized")
-            score = sim.batch_makespans
+            sim = make_simulator(w, network, initial_avail=busy)
+        assert (sim.kernel_tier == "sequential") == (path != "vectorized")
+        score, score_strings = sim.batch_makespans, sim.batch_string_makespans
         order = [0, 1, 2, 3]
         for bad in (-1, 3):
             with pytest.raises(ValueError, match="machine ids"):
                 score([order], [[0, 0, 0, bad]])
         with pytest.raises(ValueError, match="rows"):
             score([order] * 3, [[0, 0, 0, 0]] * 2)
+        wide = ScheduleString(order, [0, 0, 0, 6], 7)
+        with pytest.raises(ValueError, match=r"machine ids outside \[0, 3\)"):
+            score_strings([wide])
+        with pytest.raises(ValueError, match="shape"):
+            score_strings([ScheduleString([0, 1, 2], [0, 0, 0], 3)])
         want = make_simulator(w, network).makespan(order, [0, 1, 2, 0])
         assert list(score([order], [[0, 1, 2, 0]])) == [want]
+        good = ScheduleString(order, [0, 1, 2, 0], 3)
+        assert list(score_strings([good])) == [want]
 
 
 class TestBatchBackendPlumbing:
@@ -165,11 +171,12 @@ class TestBatchBackendPlumbing:
 
     def test_make_simulator_batch_contention_free(self):
         w = diamond_workload()
-        sim = make_simulator(w, batch=True)
-        assert isinstance(sim, BatchBackend)
-        assert sim.is_vectorized
-        assert isinstance(sim.kernel, BatchSimulator)
-        assert isinstance(sim.scalar_backend, Simulator)
+        sim = make_simulator(w)
+        assert sim.kernel_tier in ("vectorized", "jit")
+        assert sim._kernel is None  # built on the first batch call
+        sim.batch_makespans([[0, 1, 2, 3]], [[0, 0, 0, 0]])
+        assert isinstance(sim._kernel, BatchSimulator)
+        assert sim._kernel.workload is w
 
     def test_make_simulator_batch_nic_is_vectorized(self):
         from repro.schedule.vectorized_contention import (
@@ -177,38 +184,38 @@ class TestBatchBackendPlumbing:
         )
 
         w = diamond_workload()
-        sim = make_simulator(w, "nic", batch=True)
-        assert isinstance(sim, BatchBackend)
-        assert sim.is_vectorized
-        assert isinstance(sim.kernel, ContentionBatchSimulator)
-        assert isinstance(sim.scalar_backend, ContentionSimulator)
-        assert sim.kernel.workload is w
+        sim = make_simulator(w, "nic")
+        assert isinstance(sim, ContentionSimulator)
+        assert sim.kernel_tier in ("vectorized", "jit")
+        sim.batch_makespans([[0, 1, 2, 3]], [[0, 0, 0, 0]])
+        assert isinstance(sim._kernel, ContentionBatchSimulator)
+        assert sim._kernel.workload is w
 
     def test_make_simulator_unkernelled_network_falls_back(self):
-        # with initial machine state (even all-zero) the wrapper runs the
-        # sequential scalar loop — and says so via is_vectorized
+        # with initial machine state (even all-zero) batch calls run the
+        # sequential scalar loop — and kernel_tier says so
         w = diamond_workload()
-        sim = make_simulator(
-            w, "nic", batch=True, initial_avail=[0.0] * w.num_machines
-        )
-        assert isinstance(sim, BatchBackend)
-        assert not sim.is_vectorized
-        assert isinstance(sim.kernel, SequentialBatchKernel)
-        assert isinstance(sim.scalar_backend, ContentionSimulator)
-        assert sim.kernel.workload is w
-        assert "sequential" in repr(sim)
+        sim = make_simulator(w, "nic", initial_avail=[0.0] * w.num_machines)
+        assert sim.kernel_tier == "sequential"
+        sim.batch_makespans([[0, 1, 2, 3]], [[0, 0, 0, 0]])
+        assert isinstance(sim._kernel, SequentialBatchKernel)
+        assert sim._kernel.workload is w
+        assert sim.kernel_tier == "sequential"
 
     def test_is_vectorized_is_read_only(self):
         w = diamond_workload()
-        sim = make_simulator(w, batch=True)
+        sim = make_simulator(w)
         with pytest.raises(AttributeError):
-            sim.is_vectorized = False
+            sim.kernel_tier = "sequential"
+        with pytest.raises(AttributeError):
+            EvaluationService(w).is_vectorized = False
 
     def test_batch_backend_forwards_scalar_tier(self):
         w = diamond_workload()
         plain = Simulator(w)
-        sim = make_simulator(w, batch=True)
+        sim = make_simulator(w)
         s = random_valid_string(w.graph, 3, 3)
+        sim.batch_string_makespans([s])  # a built kernel changes nothing
         assert sim.workload is w
         assert sim.string_makespan(s) == plain.string_makespan(s)
         state = sim.prepare(s.order, s.machines)
@@ -217,11 +224,21 @@ class TestBatchBackendPlumbing:
             == state.makespan
         )
         assert sim.evaluate(s) == plain.evaluate(s)
-        assert "vectorized" in repr(sim)
+
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    def test_kernel_tier_packs_nothing(self, network, monkeypatch):
+        monkeypatch.delenv("REPRO_PACK_CACHE", raising=False)
+        w = diamond_workload()
+        clear_pack_cache()
+        sim = make_simulator(w, network)
+        assert sim.kernel_tier == EvaluationService(w, network).kernel_tier
+        assert pack_cache_stats()["misses"] == 0
+        sim.batch_makespans([[0, 1, 2, 3]], [[0, 0, 0, 0]])
+        assert pack_cache_stats()["misses"] == 1
 
     def test_batch_makespans_matches_scalar(self):
         w = diamond_workload()
-        sim = make_simulator(w, batch=True)
+        sim = make_simulator(w)
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
         got = sim.batch_string_makespans(strings)
         assert got.tolist() == [sim.string_makespan(x) for x in strings]

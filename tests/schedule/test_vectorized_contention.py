@@ -256,7 +256,7 @@ class TestServiceAccountingUnderNic:
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
         fast = EvaluationService(w, "nic")
         fast_costs = fast.batch_string_makespans(strings)
-        slow = EvaluationService(w, "nic", prefer_batch=False)
+        slow = EvaluationService(w, "nic", initial_avail=[0.0] * 3)
         assert not slow.is_vectorized
         slow_costs = slow.batch_string_makespans(strings)
         assert fast_costs == slow_costs

@@ -35,9 +35,7 @@ def test_single_deterministic_scenario_is_bit_identical(network):
     strings = _strings(w, 8)
     got = ev.string_matrix(strings)
     assert got.shape == (1, 8)
-    expected = EvaluationService(
-        w, network, prefer_batch=True
-    ).batch_string_makespans(strings)
+    expected = EvaluationService(w, network).batch_string_makespans(strings)
     assert got[0].tolist() == list(expected)  # ==, not approx
 
 
@@ -46,13 +44,10 @@ def test_vectorized_matches_sequential_fallback(network):
     """Kernel-built scenario rows == scalar simulator per scenario."""
     w = small_workload(seed=2)
     scen = sample_scenarios(w, "lognormal:0.3", scenarios=4, seed=5)
-    fast = ScenarioEvaluator(scen, network=network, prefer_batch=True)
-    slow = ScenarioEvaluator(scen, network=network, prefer_batch=False)
-    assert fast.is_vectorized and not slow.is_vectorized
+    ev = ScenarioEvaluator(scen, network=network)
     strings = _strings(w, 5)
-    np.testing.assert_allclose(
-        fast.string_matrix(strings), slow.string_matrix(strings)
-    )
+    slow = np.column_stack([ev.samples_string(s) for s in strings])
+    assert ev.string_matrix(strings).tolist() == slow.tolist()
 
 
 @pytest.mark.parametrize("network", NETWORKS)

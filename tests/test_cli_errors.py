@@ -19,6 +19,16 @@ _TINY_SWEEP = [
     "--heterogeneities", "low", "--ccrs", "0.1", "--quiet",
 ]
 
+
+
+def _sweep_with(flag, value):
+    """A tiny heft sweep with *flag* set to the bad *value*."""
+    rest = list(_TINY_SWEEP)
+    if flag in rest:
+        del rest[rest.index(flag):rest.index(flag) + 2]
+    return ["sweep", flag, value, "--algos", "heft", *rest]
+
+
 BAD_INPUT = [
     (["run", "--budget", "-1"], "time_limit"),
     (["run", "--y", "0"], "y_candidates"),
@@ -32,6 +42,16 @@ BAD_INPUT = [
     (["compare", "--budget", "0"], "budget"),
     (["pareto", "--iterations", "-5"], "max_iterations"),
     (["serve", "--reopt", "tabu", "--reopt-interval", "0"], "interval"),
+    (_sweep_with("--tasks", "0"), "num_tasks"),
+    (_sweep_with("--machines", "0"), "num_machines"),
+    (_sweep_with("--connectivities", "bogus"), "connectivity"),
+    (_sweep_with("--ccrs", "-1"), "ccr"),
+    (_sweep_with("--seeds", "a"), "--seeds"),
+    (_sweep_with("--replicates", "0"), "replicates"),
+    (["serve", "--tasks", "0"], "num_tasks"),
+    (["serve", "--machines", "0"], "num_machines"),
+    (["serve", "--ccr", "-1"], "ccr"),
+    (["figure", "3a", "--iterations", "0"], "iterations"),
 ]
 
 

@@ -91,7 +91,7 @@ def weighted_case(name):
 def pareto_case(name):
     tracker = ParetoTracker()
     service = EvaluationService(
-        _workload(), **WEIGHTED, pareto=tracker, prefer_batch=False
+        _workload(), **WEIGHTED, pareto=tracker
     )
     res = _run(name, service=service, **WEIGHTED)
     return {
