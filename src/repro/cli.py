@@ -107,9 +107,22 @@ def _csv(command: str, flag: str, text: str, convert: Callable = str) -> tuple:
         raise UsageError(f"{command}: bad {flag} {text!r}") from None
 
 
+def _workload(command: str, args: argparse.Namespace, preset: str = "") -> Workload:
+    """The workload *preset* (default ``--preset``) draws at ``--seed``."""
+    if args.seed < 0:
+        raise UsageError(f"{command}: --seed must be >= 0, got {args.seed}")
+    return PRESETS[preset or args.preset](args.seed)
+
+
+def _limits(entry, iterations: Optional[int], budget=None, **options) -> dict:
+    """``entry.limits`` for *iterations* SE-sized units (``entry.scale``
+    native iterations each); ``None`` lifts the cap for *budget* to bind."""
+    cap = None if iterations is None else iterations * entry.scale
+    return entry.limits(cap, budget, **options)
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
-    w = PRESETS[args.preset](args.seed)
-    print(w.describe())
+    print(_workload("describe", args).describe())
     return 0
 
 
@@ -144,10 +157,11 @@ def _risk_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _check_risk_flags(command: str, args: argparse.Namespace) -> bool:
-    """Validate the risk-flag bundle; True when a scenario objective.
+def _check_platform_and_risk(command: str, args: argparse.Namespace, algos) -> bool:
+    """Validate ``--platform`` and the risk flags for *algos*; True when
+    the objective is a scenario objective.
 
-    The flags only make sense together — a scenario objective needs
+    The risk flags only make sense together — a scenario objective needs
     ``--scenarios``, and scenario sampling needs a scenario objective —
     so the shared :func:`~repro.stochastic.distributions.
     validate_scenario_settings` rule is applied up front for a clean
@@ -155,6 +169,7 @@ def _check_risk_flags(command: str, args: argparse.Namespace) -> bool:
     """
     from repro.stochastic.distributions import validate_scenario_settings
 
+    _config(command, resolve_platform, platform=args.platform)
     obj, _ = _config(
         command,
         validate_scenario_settings,
@@ -162,6 +177,16 @@ def _check_risk_flags(command: str, args: argparse.Namespace) -> bool:
         scenarios=args.scenarios,
         distribution=args.distribution,
     )
+    if _risk_requested(args):
+        risk_algos = _risk_algos()
+        bad = sorted(set(algos) - set(risk_algos))
+        if bad:
+            raise UsageError(
+                f"{command}: --objective/--scenarios/--distribution apply "
+                f"to {', '.join(risk_algos)} only, not {', '.join(bad)} "
+                "(deterministic heuristics have no objective to swap: drop "
+                "them or the risk flags)"
+            )
     return bool(getattr(obj, "is_scenario", False))
 
 
@@ -192,15 +217,8 @@ def _print_risk_profile(args: argparse.Namespace, w: Workload, best) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner.pool import platform_view
 
-    _config("run", resolve_platform, platform=args.platform)
-    is_scenario = _check_risk_flags("run", args)
-    risk_algos = _risk_algos()
-    if _risk_requested(args) and args.algo not in risk_algos:
-        raise UsageError(
-            f"run: --objective/--scenarios/--distribution apply to "
-            f"{', '.join(risk_algos)} only, not {args.algo!r} "
-            "(deterministic heuristics have no objective to swap)"
-        )
+    is_scenario = _check_platform_and_risk("run", args, [args.algo])
+    w = _workload("run", args)
     risk = _risk_params(args)
     entry = ENGINES.get(args.algo)
     if entry is not None:
@@ -210,20 +228,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "run",
             entry.config,
             seed=args.seed,
-            **entry.limits(args.iterations * entry.scale, args.budget),
+            **_limits(entry, args.iterations, args.budget),
             network=args.network,
             platform=args.platform,
             **risk,
             **{k: v for k, v in se_flags.items() if k in entry.field_names()},
         )
-    w = PRESETS[args.preset](args.seed)
+    elif args.algo == "random" and args.iterations < 1:
+        raise UsageError(
+            f"run: random samples (--iterations) must be >= 1, "
+            f"got {args.iterations}"
+        )
     if args.verbose:
-        # capability of the selected backend, not a per-run trace: only
-        # algorithms that batch-score (ga, tabu, random) actually
-        # exercise the kernel
+        from repro.optim import EvaluationService
+
+        # capability of the backend this run builds (boot delays route
+        # it to the sequential fallback), not a per-run trace: only
+        # algorithms that batch-score (ga, tabu, random) exercise it
+        tier = EvaluationService(
+            w, args.network, platform=args.platform, **risk
+        ).kernel_tier
         print(
             f"network {args.network!r}: batch evaluation via "
-            f"{_batch_mode(args.network)} "
+            f"{_batch_mode(tier)} "
             "(applies when the algorithm batch-scores)"
         )
         print("platform catalogs (--platform) and their cost paths:")
@@ -280,7 +307,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    w = PRESETS[args.preset](args.seed)
+    w = _workload("compare", args)
     algos = _csv("compare", "--algos", args.algos)
     print(w.describe())
     names = " and ".join(a.upper() for a in algos)
@@ -320,7 +347,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
     from repro.analysis import anytime_table
     from repro.portfolio import RaceConfig, run_race
 
-    w = PRESETS[args.preset](args.seed)
+    w = _workload("race", args)
     # --deadline 0 disables the wall clock (pure iteration-capped race)
     deadline = args.deadline if args.deadline and args.deadline > 0 else None
     if args.sync_every is not None:
@@ -382,13 +409,12 @@ def _algorithms_listing() -> str:
     return "\n".join(lines)
 
 
-def _batch_mode(network: str) -> str:
-    """Human-readable batch-evaluation mode (active kernel tier)."""
-    from repro.schedule.backend import kernel_tier
-
-    if kernel_tier(network) == "jit":
-        return "jit kernel (numba-compiled)"
-    return "vectorized kernel"
+def _batch_mode(tier: str) -> str:
+    """Human-readable batch-evaluation mode of kernel *tier*."""
+    return {
+        "jit": "jit kernel (numba-compiled)",
+        "sequential": "sequential scalar fallback",
+    }.get(tier, "vectorized kernel")
 
 
 def _platforms_listing() -> str:
@@ -417,10 +443,10 @@ def _platforms_listing() -> str:
 def _networks_listing() -> str:
     """Every network model with its batch-evaluation mode (the kernel
     tier selected now, so a numba-less install shows it runs NumPy)."""
-    from repro.schedule.backend import available_networks
+    from repro.schedule.backend import available_networks, kernel_tier
 
     return "\n".join(
-        f"  {name:16s} batch evaluation: {_batch_mode(name)}"
+        f"  {name:16s} batch evaluation: {_batch_mode(kernel_tier(name))}"
         for name in available_networks()
     )
 
@@ -464,49 +490,32 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise UsageError(
             f"figure: --iterations must be >= 1, got {args.iterations}"
         )
-    fig = args.id
-    seed = args.seed
-    iters = args.iterations
+    fig, seed, iters = args.id, args.seed, args.iterations
+    w = _workload("figure", args, "fig3" if fig[0] == "3" else f"fig{fig}")
+    title, x_label, y_label = f"Figure {fig}", "iteration", "schedule length"
     if fig in ("3a", "3b"):
-        w = figure3_workload(seed)
-        res = run_se(w, SEConfig(seed=seed, max_iterations=iters))
-        tr = res.trace
+        tr = run_se(w, SEConfig(seed=seed, max_iterations=iters)).trace
         if fig == "3a":
             series = [Series("selected subtasks", tr.iterations(), tr.selected_counts())]
-            ylab = "number of selected subtasks"
+            y_label = "number of selected subtasks"
         else:
             series = [Series("schedule length", tr.iterations(), tr.current_makespans())]
-            ylab = "schedule length"
-        print(line_plot(series, title=f"Figure {fig}", x_label="iteration", y_label=ylab))
     elif fig in ("4a", "4b"):
-        w = figure4a_workload(seed) if fig == "4a" else figure4b_workload(seed)
         series = []
         for y in (5, 9, 12):
-            res = run_se(
-                w, SEConfig(seed=seed, max_iterations=iters, y_candidates=y)
-            )
-            tr = res.trace
+            cfg = SEConfig(seed=seed, max_iterations=iters, y_candidates=y)
+            tr = run_se(w, cfg).trace
             series.append(Series(f"Y={y}", tr.iterations(), tr.best_makespans()))
-        print(
-            line_plot(
-                series,
-                title=f"Figure {fig} — effect of Y",
-                x_label="iteration",
-                y_label="schedule length",
-            )
+        title += " — effect of Y"
+    else:
+        cmp = _config(
+            "figure", se_vs_ga, workload=w, time_budget=args.budget,
+            grid_points=args.points, seed=seed,
         )
-    elif fig in ("5", "6", "7"):
-        w = {"5": figure5_workload, "6": figure6_workload, "7": figure7_workload}[fig](seed)
-        cmp = se_vs_ga(w, time_budget=args.budget, grid_points=args.points, seed=seed)
         series = [Series(s.name, s.time_grid, s.best_at) for s in cmp.series]
-        print(
-            line_plot(
-                series,
-                title=f"Figure {fig} — SE vs GA on {w.name}",
-                x_label="seconds",
-                y_label="best schedule length",
-            )
-        )
+        title += f" — SE vs GA on {w.name}"
+        x_label, y_label = "seconds", "best schedule length"
+    print(line_plot(series, title=title, x_label=x_label, y_label=y_label))
     return 0
 
 
@@ -522,8 +531,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.workloads import WorkloadSuite
 
-    _config("sweep", resolve_platform, platform=args.platform)
-    _check_risk_flags("sweep", args)
     algos = [a.lower() for a in _csv("sweep", "--algos", args.algos)]
     unknown = sorted(set(algos) - set(available_algorithms()))
     if unknown:
@@ -531,33 +538,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"unknown algorithms {unknown}; available (with their "
             f"AlgorithmSpec parameters):\n{_algorithms_listing()}"
         )
-    risk_algos = _risk_algos()
-    if _risk_requested(args):
-        bad = sorted(set(algos) - set(risk_algos))
-        if bad:
-            raise UsageError(
-                f"sweep: --objective/--scenarios/--distribution apply to "
-                f"{', '.join(risk_algos)} only; drop {bad} from "
-                "--algorithms"
-            )
+    _check_platform_and_risk("sweep", args, algos)
 
     def algo_spec(kind: str) -> AlgorithmSpec:
         params = {"network": args.network, "platform": args.platform}
         # only annotate specs when risk flags were set: default params
         # keep historical cell fingerprints, so existing caches resume
-        if _risk_requested(args) and kind in risk_algos:
+        if _risk_requested(args):
             params.update(_risk_params(args))
         entry = engine_for(kind)
         if entry is not None:
             # a sweep engine runs to its cap or budget: no stall stop
             if args.budget is None:
-                iterations = args.iterations * entry.scale
-                params.update(entry.limits(iterations, stall=False))
+                params.update(_limits(entry, args.iterations, stall=False))
             else:
                 params.update(
-                    entry.limits(
-                        None, args.budget, stall=False, trace="budget"
-                    )
+                    _limits(entry, None, args.budget, stall=False, trace="budget")
                 )
         elif kind == "random":
             if args.budget is None:
@@ -657,12 +653,12 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
     entry = ENGINES[args.algo]
     shared = dict(
-        entry.limits(args.iterations * entry.scale, args.budget, trace="budget"),
+        _limits(entry, args.iterations, args.budget, trace="budget"),
         network=args.network,
         platform=args.platform,
     )
     _config("pareto", entry.config, **shared)  # also rejects unknown platforms
-    w = PRESETS[args.preset](args.seed)
+    w = _workload("pareto", args)
     if args.platform == "uniform":
         raise UsageError(
             "pareto: the uniform platform has no billing table (cost is "
@@ -671,6 +667,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     weights = sorted(_csv("pareto", "--weights", args.weights, float))
     if not weights or not all(0.0 <= wc <= 1.0 for wc in weights):
         raise UsageError("pareto: --weights must be numbers in [0, 1]")
+    if args.factor < 1.0:
+        raise UsageError(f"pareto: --factor must be >= 1, got {args.factor:g}")
 
     ref = heft(w, network=args.network, platform=args.platform)
     print(
@@ -768,7 +766,11 @@ def _cmd_perf_show(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.io import save_dot, save_json, save_svg
 
-    w = PRESETS[args.preset](args.seed)
+    w = _workload("export", args)
+    if args.schedule:
+        cfg = _config(
+            "export", SEConfig, seed=args.seed, max_iterations=args.iterations
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = w.name
@@ -778,9 +780,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         save_dot(w.graph, out / f"{stem}.dot", name=stem),
     ]
     if args.schedule:
-        res = run_se(
-            w, SEConfig(seed=args.seed, max_iterations=args.iterations)
-        )
+        res = run_se(w, cfg)
         written.append(
             save_json(res.best_schedule, out / f"{stem}.schedule.json")
         )
@@ -830,12 +830,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         rate = args.rate
         if rate is None:
-            rate = rate_for_utilisation(template, args.util)
+            rate = _config(
+                "serve", rate_for_utilisation, template=template, utilisation=args.util
+            )
             print(
                 f"lambda={rate:.6g} jobs/unit-time "
                 f"(target utilisation {args.util:g})"
             )
-        stream = poisson_stream(rate, args.jobs, template, seed=args.seed)
+        stream = _config(
+            "serve", poisson_stream, rate=rate, num_jobs=args.jobs,
+            template=template, seed=args.seed,
+        )
     if args.trace_out:
         save_trace(stream, args.trace_out)
         print(f"wrote trace {args.trace_out}")
@@ -860,7 +865,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Declarations of the options several subcommands share.
+#: Native iterations per --iterations unit, for engines that differ.
+_SCALED = ", ".join(
+    f"{e.name} gets {e.scale} {e.unit} per unit" for e in ENGINES.values()
+    if e.scale > 1
+)
+
+#: Declarations of the options several subcommands share; a subcommand
+#: sets its own default through :func:`_shared`.
 _SHARED_FLAGS = {
     "--preset": dict(default="small", choices=sorted(PRESETS)),
     "--seed": dict(type=int, default=0),
@@ -898,6 +910,19 @@ _SHARED_FLAGS = {
         default=0,
         help="seed of the scenario sample (independent of --seed)",
     ),
+    # the budget pair: the paper's iteration-capped and wall-clock runs
+    "--iterations": dict(
+        type=int,
+        default=None,
+        help=f"iteration cap in SE-sized units ({_SCALED}); race islands "
+        "count their engine's own unit",
+    ),
+    "--budget": dict(
+        type=float,
+        default=None,
+        help="wall-clock seconds per algorithm run (see docs/reproducing.md "
+        "for how it combines with --iterations)",
+    ),
 }
 
 
@@ -920,14 +945,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     engines = ", ".join(ENGINES)
-    scaled = ", ".join(
-        f"{e.name} gets {e.scale} {e.unit} per unit"
-        for e in ENGINES.values()
-        if e.scale > 1
-    )
     workload = ("--preset", "--seed")
     backend = ("--network", "--platform")
     risk = ("--objective", "--scenarios", "--distribution", "--scenario-seed")
+    limits = ("--iterations", "--budget")
 
     p = sub.add_parser(
         "describe",
@@ -939,20 +960,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "run",
         help="run one algorithm on a preset",
-        parents=[_shared(*workload, *backend, *risk)],
+        parents=[_shared(*workload, *backend, *risk, *limits, iterations=200)],
     )
     p.add_argument(
         "--algo",
         default="se",
         choices=[*ENGINES, "heft", "minmin", "maxmin", "olb", "random"],
     )
-    p.add_argument(
-        "--iterations",
-        type=int,
-        default=200,
-        help=f"iteration cap ({scaled})",
-    )
-    p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--y", type=int, default=None, help="SE Y parameter")
     p.add_argument("--bias", type=float, default=None, help="SE selection bias B")
     p.add_argument("--gantt", action="store_true", help="print ASCII Gantt chart")
@@ -967,9 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare",
         help="iterative engines head-to-head under one wall-clock budget",
-        parents=[_shared(*workload, *backend)],
+        parents=[_shared(*workload, *backend, "--budget", budget=10.0)],
     )
-    p.add_argument("--budget", type=float, default=10.0, help="seconds per algorithm")
     p.add_argument("--points", type=int, default=16)
     p.add_argument(
         "--algos",
@@ -982,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
         "race",
         help="anytime portfolio: race every engine in parallel, share "
         "the incumbent, best schedule at the deadline",
-        parents=[_shared(*workload, *backend)],
+        parents=[_shared(*workload, *backend, "--iterations")],
     )
     p.add_argument(
         "--deadline",
@@ -1004,18 +1017,12 @@ def build_parser() -> argparse.ArgumentParser:
         "seeded restarts, 1 disables the exchange (solo golden run)",
     )
     p.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="per-island iteration cap in each engine's own unit "
-        "(required with --sync-every)",
-    )
-    p.add_argument(
         "--sync-every",
         type=int,
         default=None,
         help="deterministic lockstep exchange every N own-iterations "
-        "(threads; reproducible bit for bit at a fixed seed)",
+        "(threads; reproducible bit for bit at a fixed seed; needs "
+        "--iterations)",
     )
     p.add_argument(
         "--exchange-interval",
@@ -1053,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="parallel algorithms x workload-grid x seeds sweep",
-        parents=[_shared(*backend, *risk)],
+        parents=[_shared(*backend, *risk, *limits, iterations=100)],
     )
     p.add_argument("--name", default="sweep", help="experiment name")
     p.add_argument(
@@ -1072,15 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite-seed", type=int, default=0, help="workload-draw seed")
     p.add_argument("--seeds", default="0", help="comma list of replicate seeds")
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=100, help="SE/GA cap")
-    p.add_argument(
-        "--budget", type=float, default=None,
-        help=(
-            "wall-clock seconds per se/ga/sa/tabu/random run (lifts "
-            "iteration/sample caps; deterministic heuristics are "
-            "unaffected)"
-        ),
-    )
     p.add_argument("--workers", type=int, default=1, help="process count")
     p.add_argument("--cache", default=None, help="resume-cache directory")
     p.add_argument("--out", default=None, help="write JSON+CSV artifacts here")
@@ -1091,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "export",
         help="write workload/schedule artifacts",
-        parents=[_shared(*workload)],
+        parents=[_shared(*workload, "--iterations", iterations=150)],
     )
     p.add_argument("--out", default="artifacts", help="output directory")
     p.add_argument(
@@ -1099,7 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run SE and export its schedule (JSON + SVG) and trace",
     )
-    p.add_argument("--iterations", type=int, default=150)
     p.set_defaults(func=_cmd_export)
 
     warm = warm_start_engines()
@@ -1107,7 +1104,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pareto",
         help="trace the (makespan, cost) front on a priced platform",
         # uniform is rejected here: its cost is identically 0
-        parents=[_shared(*workload, *backend, platform="spot")],
+        parents=[
+            _shared(*workload, *backend, *limits, platform="spot", iterations=100)
+        ],
     )
     p.add_argument(
         "--algo",
@@ -1120,15 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--weights",
         default="0,0.2,0.4,0.6,0.8",
         help="comma list of cost weights in [0, 1] (0 = pure makespan)",
-    )
-    p.add_argument(
-        "--iterations",
-        type=int,
-        default=100,
-        help=f"per-weight iteration cap ({scaled})",
-    )
-    p.add_argument(
-        "--budget", type=float, default=None, help="seconds per weight"
     )
     p.add_argument(
         "--factor",
@@ -1241,11 +1231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "figure",
         help="regenerate a paper figure (ASCII)",
-        parents=[_shared("--seed")],
+        parents=[_shared("--seed", *limits, iterations=300, budget=10.0)],
     )
     p.add_argument("id", choices=["3a", "3b", "4a", "4b", "5", "6", "7"])
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--points", type=int, default=16)
     p.set_defaults(func=_cmd_figure)
 

@@ -10,6 +10,7 @@ and across worker counts.
 import pytest
 
 from repro.runner import AlgorithmSpec, ExperimentSpec, run_experiment
+from repro.schedule import vectorized
 from repro.schedule.vectorized import clear_pack_cache, pack_cache_stats
 from repro.workloads import WorkloadSpec
 
@@ -79,7 +80,7 @@ class TestWorkerCountInvariance:
         spec = sweep_spec()
         cached = run_experiment(spec, workers=1)
         clear_pack_cache()
-        monkeypatch.setenv("REPRO_PACK_CACHE", "0")
+        monkeypatch.setattr(vectorized, "PACK_CACHE_CAPACITY", 0)
         uncached = run_experiment(spec, workers=1)
         assert self._flat(cached) == self._flat(uncached)
         assert pack_cache_stats()["size"] == 0

@@ -226,8 +226,7 @@ class TestBatchBackendPlumbing:
         assert sim.evaluate(s) == plain.evaluate(s)
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_kernel_tier_packs_nothing(self, network, monkeypatch):
-        monkeypatch.delenv("REPRO_PACK_CACHE", raising=False)
+    def test_kernel_tier_packs_nothing(self, network):
         w = diamond_workload()
         clear_pack_cache()
         sim = make_simulator(w, network)

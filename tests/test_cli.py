@@ -24,6 +24,60 @@ class TestParser:
         assert set(PRESETS) == expected
 
 
+#: Each subcommand's default for the budget pair (None: no such flag
+#: default; absent: the subcommand does not take the flag).
+BUDGET_DEFAULTS = {
+    "run": {"iterations": 200, "budget": None},
+    "race": {"iterations": None},
+    "sweep": {"iterations": 100, "budget": None},
+    "export": {"iterations": 150},
+    "pareto": {"iterations": 100, "budget": None},
+    "figure": {"iterations": 300, "budget": 10.0},
+    "compare": {"budget": 10.0},
+}
+
+
+def _flag_help(page: str, flag: str) -> list:
+    """Whitespace-normalised help of every *flag* entry on a --help page."""
+    lines = page.splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        if not line.startswith(f"  {flag} "):
+            continue
+        words = line.split()[2:]  # drop "--flag METAVAR"
+        for cont in lines[i + 1:]:
+            if not cont.startswith("   "):  # next option or section
+                break
+            words += cont.split()
+        found.append(" ".join(words))
+    return found
+
+
+class TestBudgetFlags:
+    @pytest.mark.parametrize("flag", ["--iterations", "--budget"])
+    def test_one_help_line_per_flag(self, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        helps = {}
+        for command, defaults in BUDGET_DEFAULTS.items():
+            if flag.lstrip("-") not in defaults:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            (helps[command],) = _flag_help(capsys.readouterr().out, flag)
+        assert len(set(helps.values())) == 1, helps
+        assert next(iter(helps.values()))
+
+    @pytest.mark.parametrize("command", sorted(BUDGET_DEFAULTS))
+    def test_subcommand_defaults(self, command):
+        argv = [command, "5"] if command == "figure" else [command]
+        args = build_parser().parse_args(argv)
+        for dest, default in BUDGET_DEFAULTS[command].items():
+            assert getattr(args, dest) == default
+        for dest in {"iterations", "budget"} - set(BUDGET_DEFAULTS[command]):
+            assert not hasattr(args, dest)
+
+
 class TestDescribe:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_describes_every_preset(self, preset, capsys):
@@ -307,6 +361,25 @@ class TestRunVerbose:
              "--network", "nic"]
         )
         assert "batch evaluation" not in capsys.readouterr().out
+
+    def test_verbose_reports_the_tier_the_run_builds(self, capsys):
+        # cloud instances boot with a delay: that initial state routes
+        # batch scoring through the sequential fallback, not the kernel
+        from repro.optim import EvaluationService
+
+        w = PRESETS["small"](1)
+        tier = EvaluationService(w, "nic", platform="cloud").kernel_tier
+        assert tier == "sequential"
+        rc = main(
+            ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
+             "--network", "nic", "--platform", "cloud", "--verbose"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert (
+            "network 'nic': batch evaluation via sequential scalar "
+            "fallback" in out
+        )
 
 
 class TestCompareNetwork:

@@ -52,6 +52,18 @@ BAD_INPUT = [
     (["serve", "--machines", "0"], "num_machines"),
     (["serve", "--ccr", "-1"], "ccr"),
     (["figure", "3a", "--iterations", "0"], "iterations"),
+    (["figure", "5", "--budget", "-1"], "budget"),
+    (["figure", "5", "--points", "0"], "points"),
+    (["pareto", "--factor", "0.5"], "factor"),
+    (["serve", "--util", "0"], "utilisation"),
+    (["serve", "--rate", "-1"], "rate"),
+    (["serve", "--jobs", "-1"], "num_jobs"),
+    (["run", "--algo", "random", "--iterations", "0"], "samples"),
+    (["export", "--schedule", "--iterations", "-1"], "max_iterations"),
+    (["describe", "--seed", "-1"], "--seed"),
+    (["run", "--seed", "-1"], "--seed"),
+    (["compare", "--seed", "-1"], "--seed"),
+    (["race", "--seed", "-1"], "--seed"),
 ]
 
 
